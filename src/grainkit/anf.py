@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Var",
@@ -24,8 +24,10 @@ __all__ = [
     "remap_indices",
     "analyze",
     "substitute_var",
+    "ExprError",
     "parse_term",
     "parse_expr",
+    "parse_expr_with_refs",
     "term_sort_key",
 ]
 
@@ -228,44 +230,92 @@ def substitute_var(expr: Anf, old: Var, new: Var) -> Anf:
     return Anf(frozenset(merged), expr.const)
 
 
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?")
 
 
-def parse_term(text: str) -> Term:
-    """Parse a product like ``b[33]*b[28]*b[21]``."""
-    factors = [f.strip() for f in text.split("*")]
-    vars_: list[Var] = []
-    for f in factors:
-        m = _FACTOR_RE.match(f)
-        if not m:
-            raise ValueError(f"bad product factor {f!r} in {text!r}")
-        vars_.append(Var(m.group(1), int(m.group(2))))
-    return Term(frozenset(vars_))
+class ExprError(ValueError):
+    """A rejected expression token; ``offset`` is its 0-based position."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} at offset {offset}")
+        self.message = message
+        self.offset = offset
+
+
+def parse_expr_with_refs(
+    text: str, check: Callable[[Var | str, int], None] | None = None
+) -> tuple[Anf, tuple[str, ...]]:
+    """Parse the ``parse_expr`` grammar, plus terms that are a bare name.
+
+    A bare name must stand alone in its term; system documents use it to
+    reference an earlier output.  Names come back separately, in order of
+    first appearance, and a name given twice cancels like a repeated term.
+    ``check`` sees every ``reg[idx]`` factor (as a Var) and every name with
+    its offset in ``text``, in source order, and rejects one by raising
+    ExprError.  Every error is an ExprError at the failing token's offset.
+    """
+    terms: set[Term] = set()
+    const = 0
+    refs: dict[str, int] = {}
+    start = 0
+    for chunk in text.split("+"):
+        term_start, start = start, start + len(chunk) + 1
+        if not chunk.strip():
+            raise ExprError("empty term in expression", term_start)
+        pieces = chunk.split("*")
+        factors: list[Var | str] = []
+        zero = False
+        pos = term_start
+        for piece in pieces:
+            offset = pos + len(piece) - len(piece.lstrip())
+            pos += len(piece) + 1
+            f = piece.strip()
+            if f in ("0", "1"):
+                zero |= f == "0"
+                continue
+            m = _FACTOR_RE.fullmatch(f)
+            if not m:
+                raise ExprError(f"bad factor {f!r}", offset)
+            factor = f if m[2] is None else Var(m[1], int(m[2]))
+            if isinstance(factor, str) and len(pieces) > 1:
+                raise ExprError(
+                    "an output reference must stand alone in its term", offset
+                )
+            if check is not None:
+                check(factor, offset)
+            factors.append(factor)
+        if zero:
+            continue
+        if not factors:
+            const ^= 1
+        elif isinstance(factors[0], str):
+            refs[factors[0]] = refs.get(factors[0], 0) ^ 1
+        else:
+            terms ^= {Term(frozenset(factors))}
+    return Anf(frozenset(terms), const), tuple(n for n, odd in refs.items() if odd)
+
+
+def _no_names(factor: Var | str, offset: int) -> None:
+    if isinstance(factor, str):
+        raise ExprError(f"bad factor {factor!r}", offset)
 
 
 def parse_expr(text: str) -> Anf:
     """Parse ``+``-separated products, e.g. ``s[0] + b[0] + b[15]*b[9]``.
 
-    ``+`` is XOR and ``*`` is AND; the literals ``0`` and ``1`` are the
-    constants.  Bare names are not accepted here (named outputs are a
-    system-document construct, not part of plain expressions).
+    ``+`` is XOR and ``*`` is AND; a factor is ``reg[idx]`` or a literal
+    ``0``/``1``, and a repeated term cancels.  Bare names (output
+    references) are rejected: only ``output`` lines of a system document
+    accept them, through ``parse_expr_with_refs``.  Errors are ExprError,
+    carrying the offset of the failing token.
     """
-    terms: set[Term] = set()
-    const = 0
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty term in expression {text!r}")
-        factors = [f.strip() for f in chunk.split("*")]
-        if "0" in factors:
-            continue
-        factors = [f for f in factors if f != "1"]
-        if not factors:
-            const ^= 1
-            continue
-        term = parse_term("*".join(factors))
-        if term in terms:
-            terms.remove(term)
-        else:
-            terms.add(term)
-    return Anf(frozenset(terms), const)
+    return parse_expr_with_refs(text, _no_names)[0]
+
+
+def parse_term(text: str) -> Term:
+    """Parse a single product like ``b[33]*b[28]*b[21]``."""
+    expr = parse_expr(text)
+    if expr.const or len(expr.terms) != 1:
+        raise ValueError(f"expected one product term, got {text!r}")
+    (term,) = expr.terms
+    return term

@@ -64,12 +64,6 @@ def _pick_register(system: SystemSpec, reg_id: str | None) -> RegisterSpec:
     return max(system.registers, key=weight)
 
 
-def _cost_model(args) -> timing.CostModel:
-    if getattr(args, "cost_model", None):
-        return timing.parse_cost_model(_read(args.cost_model))
-    return timing.CostModel()
-
-
 def _emit(pairs, kv: bool) -> None:
     if kv:
         for key, value in pairs:
@@ -258,7 +252,7 @@ def _cmd_verify_parallel(args) -> int:
 
 def _cmd_analyze_timing(args) -> int:
     name, system = _load_system(args)
-    cm = _cost_model(args)
+    cm = timing.parse_cost_model(_read(args.cost_model)) if args.cost_model else None
     report = timing.critical_depths(system)
     pairs = [("system", name)]
     pairs += [(f"expr.{k}", d) for k, d in sorted(report.expr_depths.items())]
@@ -281,18 +275,7 @@ def _cmd_map_state(args) -> int:
     v = _load_variant(args)
     fib = v.fib_variant()
     state = grain.state_from_hex(fib, args.state)
-    mapped = {}
-    for reg in v.system.registers:
-        fib_reg = fib.system.register(reg.id)
-        bits = state.bits(reg.id)
-        mapped[reg.id] = (
-            bits
-            if fib_reg == reg
-            else transform.map_initial_state(fib_reg, reg, bits)
-        )
-    from .engine import SystemState
-
-    out = SystemState.from_bits(v.system, mapped, cycle=state.cycle)
+    out = transform.map_system_state(fib.system, v.system, state)
     print(grain.state_to_hex(v, out))
     return OK
 
@@ -336,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     how.add_argument("--auto", action="store_true")
     p.add_argument("--k", type=int, default=1, help="parallel degree for --auto")
     p.add_argument("--terminal", type=int, help="terminal bit for --auto")
-    p.add_argument("--cost-model", help="gate-weight file")
     p.add_argument("--name", help="name for the output document")
     p.add_argument("--out", help="write the document here instead of stdout")
     add_repair(p)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .bits import pack_bits, unpack_hex
 from .engine import SystemSpec, SystemState, run
 from .specfile import SpecDocument
-from .transform import map_initial_state
+from .transform import map_system_state
 from . import variants as _variants
 
 __all__ = [
@@ -58,8 +58,12 @@ class KeyIv:
     iv: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "key", tuple(int(b) & 1 for b in self.key))
-        object.__setattr__(self, "iv", tuple(int(b) & 1 for b in self.iv))
+        for name in ("key", "iv"):
+            bits = tuple(getattr(self, name))
+            for i, bit in enumerate(bits):
+                if bit not in (0, 1):
+                    raise ValueError(f"bit {name}[{i}] is {bit!r}")
+            object.__setattr__(self, name, bits)
 
     @classmethod
     def from_hex(
@@ -150,19 +154,8 @@ def initialize(v: GrainVariant, state: SystemState, mode: str = "native") -> Sys
     if mode != "equivalence":
         raise ValueError(f"unknown initialization mode {mode!r}")
     fib = v.fib_variant()
-    fib_state = SystemState(state.regs, 0)
-    _, fib_done = run(fib.system, fib_state, v.init_cycles, modes={INIT_MODE})
-    if v.is_fibonacci():
-        return fib_done
-    mapped = {}
-    for reg in v.system.registers:
-        fib_reg = fib.system.register(reg.id)
-        bits = fib_done.bits(reg.id)
-        if fib_reg == reg:
-            mapped[reg.id] = bits
-        else:
-            mapped[reg.id] = map_initial_state(fib_reg, reg, bits)
-    return SystemState.from_bits(v.system, mapped, cycle=fib_done.cycle)
+    _, fib_done = run(fib.system, state, v.init_cycles, modes={INIT_MODE})
+    return map_system_state(fib.system, v.system, fib_done)
 
 
 def generate_keystream(

@@ -9,11 +9,13 @@ Grammar (``#`` starts a comment anywhere on a line)::
     inject <mode> <id>[<i>] = <NAME>
     param <key> = <int>
 
-``<expr>`` is ``+``-separated terms; each term is a ``*``-separated
-product of ``<id>[<index>]`` factors or a literal ``0``/``1``.  ``+`` is
-XOR and ``*`` is AND.  Inside an ``output`` expression a bare name that
-matches an earlier output XORs that output in; such a reference must
-stand alone, not inside a product.
+``<expr>`` is the one expression grammar of ``anf.parse_expr``:
+``+``-separated terms, each a ``*``-separated product of
+``<id>[<index>]`` factors or a literal ``0``/``1``; ``+`` is XOR and
+``*`` is AND.  Output references are allowed only in ``output`` lines:
+there a bare name that matches an earlier output XORs that output in,
+and it must stand alone in its term, not inside a product.  Errors give
+the line and the column of the failing token.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .anf import Anf, Term, Var
+from .anf import Anf, ExprError, Var, parse_expr_with_refs
 from .engine import Injection, OutputSpec, RegisterSpec, SystemSpec
 
 __all__ = ["SpecDocument", "SpecError", "parse_spec", "format_spec"]
@@ -58,89 +60,42 @@ _INJECT_RE = re.compile(
 )
 _PARAM_RE = re.compile(r"^param\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(-?\d+)\s*$")
 _SYSTEM_RE = re.compile(r"^system\s+(\S+)\s*$")
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def _col_of(raw: str, token: str) -> int:
-    pos = raw.find(token)
-    return pos + 1 if pos >= 0 else 1
-
-
-def _parse_expr(
+def _parse_line_expr(
     text: str,
+    column: int,
     lineno: int,
-    raw: str,
-    registers: dict[str, int],
+    registers: Mapping[str, int],
     output_names: list[str],
     allow_refs: bool,
 ) -> tuple[Anf, tuple[str, ...]]:
-    terms: set[Term] = set()
-    const = 0
-    ref_parity: dict[str, int] = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise SpecError(lineno, "empty term in expression", _col_of(raw, "+"))
-        factors = [f.strip() for f in chunk.split("*")]
-        if "0" in factors:
-            continue
-        factors = [f for f in factors if f != "1"]
-        if not factors:
-            const ^= 1
-            continue
-        vars_: list[Var] = []
-        refs_in_term: list[str] = []
-        for f in factors:
-            m = _FACTOR_RE.match(f)
-            if m:
-                reg, idx = m.group(1), int(m.group(2))
-                if reg not in registers:
-                    raise SpecError(
-                        lineno, f"undeclared register {reg!r}", _col_of(raw, f)
-                    )
-                if idx >= registers[reg]:
-                    raise SpecError(
-                        lineno,
-                        f"index {idx} out of range for register {reg!r} "
-                        f"of length {registers[reg]}",
-                        _col_of(raw, f),
-                    )
-                vars_.append(Var(reg, idx))
-            elif _NAME_RE.match(f):
-                if not allow_refs:
-                    raise SpecError(
-                        lineno,
-                        f"output references like {f!r} are only allowed in "
-                        f"output expressions",
-                        _col_of(raw, f),
-                    )
-                if f not in output_names:
-                    raise SpecError(
-                        lineno,
-                        f"{f!r} is not an earlier output",
-                        _col_of(raw, f),
-                    )
-                refs_in_term.append(f)
-            else:
-                raise SpecError(lineno, f"bad factor {f!r}", _col_of(raw, f))
-        if refs_in_term:
-            if vars_ or len(refs_in_term) > 1:
-                raise SpecError(
-                    lineno,
-                    "an output reference must stand alone in its term",
-                    _col_of(raw, refs_in_term[0]),
+    """Parse the expression of one line; ``column`` is where ``text`` starts."""
+
+    def check(factor: Var | str, offset: int) -> None:
+        if isinstance(factor, str):
+            if not allow_refs:
+                raise ExprError(
+                    f"output references like {factor!r} are only allowed in "
+                    f"output expressions",
+                    offset,
                 )
-            name = refs_in_term[0]
-            ref_parity[name] = ref_parity.get(name, 0) ^ 1
-            continue
-        term = Term(frozenset(vars_))
-        if term in terms:
-            terms.remove(term)
-        else:
-            terms.add(term)
-    refs = tuple(n for n in output_names if ref_parity.get(n))
-    return Anf(frozenset(terms), const), refs
+            if factor not in output_names:
+                raise ExprError(f"{factor!r} is not an earlier output", offset)
+        elif factor.reg not in registers:
+            raise ExprError(f"undeclared register {factor.reg!r}", offset)
+        elif factor.idx >= registers[factor.reg]:
+            raise ExprError(
+                f"index {factor.idx} out of range for register {factor.reg!r} "
+                f"of length {registers[factor.reg]}",
+                offset,
+            )
+
+    try:
+        expr, refs = parse_expr_with_refs(text, check)
+    except ExprError as exc:
+        raise SpecError(lineno, exc.message, column + exc.offset) from None
+    return expr, tuple(n for n in output_names if n in refs)
 
 
 def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
@@ -159,6 +114,7 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         keyword = line.split(None, 1)[0]
 
         if keyword == "system":
@@ -201,7 +157,9 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
                 )
             if bit in feedback[rid]:
                 raise SpecError(lineno, f"duplicate feedback for {rid}[{bit}]")
-            expr, _ = _parse_expr(m.group(3), lineno, raw, reg_len, out_names, False)
+            expr, _ = _parse_line_expr(
+                m.group(3), indent + m.start(3) + 1, lineno, reg_len, out_names, False
+            )
             feedback[rid][bit] = expr
             locations[("feedback", rid, bit)] = lineno
         elif keyword == "output":
@@ -211,7 +169,9 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             oname = m.group(1)
             if oname in out_names or oname in reg_len:
                 raise SpecError(lineno, f"name {oname!r} already in use")
-            expr, refs = _parse_expr(m.group(2), lineno, raw, reg_len, out_names, True)
+            expr, refs = _parse_line_expr(
+                m.group(2), indent + m.start(2) + 1, lineno, reg_len, out_names, True
+            )
             outputs.append(OutputSpec(oname, expr, refs))
             out_names.append(oname)
             locations[("output", oname)] = lineno

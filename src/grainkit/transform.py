@@ -56,6 +56,7 @@ __all__ = [
     "auto_distribute",
     "collapse_to_fibonacci",
     "map_initial_state",
+    "map_system_state",
     "check_equivalence_exhaustive",
     "check_equivalence_mapped",
     "parse_shift_script",
@@ -522,6 +523,20 @@ def map_initial_state(
     return out
 
 
+def map_system_state(
+    fib_system: SystemSpec, galois_system: SystemSpec, state: SystemState
+) -> SystemState:
+    """Map every register with ``map_initial_state``, keeping the cycle count.
+
+    Registers map in system order, so the first one that fails raises.
+    """
+    mapped = {
+        r.id: map_initial_state(fib_system.register(r.id), r, state.bits(r.id))
+        for r in galois_system.registers
+    }
+    return SystemState.from_bits(galois_system, mapped, cycle=state.cycle)
+
+
 def _transition_table(spec: RegisterSpec) -> list[int]:
     n = spec.length
     explicit = []
@@ -620,21 +635,20 @@ def check_equivalence_mapped(
     For each trial, a random state of the first system is converted
     register by register into the second; both run with no modes active
     and every register's bits 0..terminal must agree cycle for cycle.
-    Registers whose specs are identical convert unchanged.  Collapse
-    equality is what the simulation effectively tests, so it is not
-    demanded up front: a corrupted register surfaces as an unequal
-    verdict, not an error.
+
+    The conversion is deliberately the bare per-register formula, not
+    ``map_system_state``: collapse equality is what the simulation tests,
+    so it is not demanded up front, and a corrupted register surfaces as
+    an unequal verdict with its divergence point, not as an error.
     """
     ids = fib_system.register_ids()
     if ids != galois_system.register_ids():
         raise ValueError("systems declare different registers")
     terminals: dict[str, int] = {}
-    identical: dict[str, bool] = {}
     for rid in ids:
         f, g = fib_system.register(rid), galois_system.register(rid)
         if f.length != g.length:
             raise ValueError(f"register {rid!r} lengths differ")
-        identical[rid] = f == g
         terminals[rid] = terminal_bit(g)
     for reg in galois_system.registers:
         for expr in reg.feedback.values():
@@ -654,10 +668,7 @@ def check_equivalence_mapped(
         }
         fib_state = SystemState.from_bits(fib_system, bits)
         mapped = {
-            rid: bits[rid]
-            if identical[rid]
-            else _map_formula(galois_system.register(rid), bits[rid])
-            for rid in ids
+            rid: _map_formula(galois_system.register(rid), bits[rid]) for rid in ids
         }
         gal_state = SystemState.from_bits(galois_system, mapped)
         for cycle in range(cycles):

@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import grainkit
 
 from grainkit import (
     KeyIv,
@@ -177,6 +183,15 @@ def test_transform_auto_roundtrip(tmp_path, capsys):
     assert rc == 0
 
 
+def test_transform_has_no_cost_model_flag(capsys):
+    rc, _, err = run_cli(
+        capsys,
+        "transform", "--variant", "grain80-fib", "--register", "b",
+        "--auto", "--k", "4", "--cost-model", "x",
+    )
+    assert rc == 2 and "--cost-model" in err
+
+
 def test_transform_script(tmp_path, capsys):
     script = tmp_path / "moves.txt"
     script.write_text("shift b 79 -> 70 : b[33]*b[28]*b[21]*b[15]*b[9]\n")
@@ -221,3 +236,21 @@ def test_map_state_identity_for_fibonacci(capsys):
         capsys, "map-state", "--variant", "grain80-fib", "--state", text
     )
     assert rc == 0 and out.strip() == text
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = Path(grainkit.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import grainkit, grainkit.cli\n"
+        "print(*{m.partition('.')[0] for m in set(sys.modules) - before})\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "grainkit" in loaded
+    assert loaded - {"grainkit"} <= set(sys.stdlib_module_names)

@@ -163,6 +163,14 @@ def test_keyiv_from_hex():
         KeyIv.from_hex("00" * 9, "00" * 8, 80, 64)
 
 
+def test_keyiv_rejects_non_bits():
+    with pytest.raises(ValueError, match=r"key\[2\]"):
+        KeyIv((0, 1, 2), (0,))
+    with pytest.raises(ValueError, match=r"iv\[0\]"):
+        KeyIv((0,), (-1,))
+    assert KeyIv([1, 0], [1]) == KeyIv((1, 0), (1,))
+
+
 def test_as_printed_flavor_changes_taps():
     official = variant("grain80-fib").system.output("H").expr.support()
     printed = variant("grain80-fib", "as-printed").system.output("H").expr.support()

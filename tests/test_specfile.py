@@ -74,6 +74,19 @@ def test_forward_output_reference_rejected():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("output Z = r[0] + Z", 19),
+        ("feedback r[3] = r[0] + r[1] + + r[2]", 30),
+    ],
+)
+def test_error_column_points_at_failing_token(line, column):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(f"system t\nregister r 4\n{line}\n")
+    assert (exc.value.line, exc.value.column) == (3, column)
+
+
 def test_duplicate_directives_rejected():
     with pytest.raises(SpecError):
         parse_spec("system t\nregister r 4\nregister r 4\n")

@@ -18,13 +18,14 @@ from grainkit.transform import (
     collapse_to_fibonacci,
     format_shift_script,
     map_initial_state,
+    map_system_state,
     max_hw_parallel_degree,
     min_terminal_bit,
     parse_shift_script,
     required_terminal_bit,
     terminal_bit,
 )
-from conftest import GALOIS_VARIANTS, rand_bits
+from conftest import ALL_VARIANTS, GALOIS_VARIANTS, rand_bits
 
 # Reconstruction of the bundled 1 bit/cycle Grain-80 configuration from the
 # Fibonacci register, one move per destination, terms in source coordinates.
@@ -378,6 +379,27 @@ def test_map_initial_state_validations():
     foreign = RegisterSpec("r", 4, {2: parse_expr("r[3] + q[0]")})
     with pytest.raises(ForeignVariableError):
         map_initial_state(fib4(), foreign, (0,) * 4)
+
+
+@pytest.mark.parametrize("name", ALL_VARIANTS)
+def test_map_system_state_keeps_fibonacci_form_registers(name, rng):
+    v = variant(name)
+    fib = v.fib_variant()
+    for _ in range(5):
+        bits = {r.id: rand_bits(rng, r.length) for r in fib.system.registers}
+        state = SystemState.from_bits(fib.system, bits, cycle=7)
+        mapped = map_system_state(fib.system, v.system, state)
+        assert mapped.cycle == 7
+        for reg in v.system.registers:
+            if reg == fib.system.register(reg.id):
+                assert mapped.bits(reg.id) == state.bits(reg.id)
+
+
+def test_map_system_state_refuses_as_printed_collapse():
+    v = variant("grain128-galois-1", "as-printed")
+    fib = v.fib_variant()
+    with pytest.raises(ValueError, match="does not collapse"):
+        map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
 
 
 # ---------------------------------------------------------- equivalence checks
