@@ -4,6 +4,11 @@ Every bit of every register updates simultaneously: feedback functions
 and injected outputs are all evaluated on the pre-step state.  Specs and
 states are immutable; stepping returns a fresh state, so independent
 simulations can share them freely.
+
+Each system compiles once into a single kernel that ``step``, ``run``,
+``tap_trace`` and ``output_values`` share.  A state is validated once per
+call, so ``run`` is the way to simulate many cycles: it loops on packed
+words and builds one state at the end.
 """
 
 from __future__ import annotations
@@ -261,12 +266,38 @@ class SystemState:
 _CompiledExpr = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
+def _eval_terms(const: int, terms, words) -> int:
+    """Value of a compiled expression on the packed register words."""
+    v = const
+    for term in terms:
+        for r, m in term:
+            if words[r] & m != m:
+                break
+        else:
+            v ^= 1
+    return v
+
+
+def _next_word_fn(i: int, length: int, rows, wrap: bool):
+    """Next packed word of register ``i``, read off the pre-step words."""
+    top = length - 1
+
+    def next_word(words) -> int:
+        w = words[i]
+        t = w >> 1
+        if wrap:
+            t |= (w & 1) << top
+        for bit, const, terms, clear in rows:
+            t = (t & clear) | (_eval_terms(const, terms, words) << bit)
+        return t
+
+    return next_word
+
+
 class _CompiledSystem:
     __slots__ = (
         "index",
-        "lengths",
-        "explicit",
-        "wrap",
+        "next_word",
         "out_order",
         "outputs",
         "inj_by_mode",
@@ -277,7 +308,6 @@ class _CompiledSystem:
 
     def __init__(self, spec: SystemSpec):
         self.index = {r.id: i for i, r in enumerate(spec.registers)}
-        self.lengths = tuple(r.length for r in spec.registers)
         self.signature = tuple((r.id, r.length) for r in spec.registers)
 
         def compile_expr(expr: Anf) -> _CompiledExpr:
@@ -291,18 +321,15 @@ class _CompiledSystem:
                 terms.append(tuple(sorted(masks.items())))
             return (expr.const, tuple(terms))
 
-        explicit = []
-        wrap = []
-        for r in spec.registers:
+        next_word = []
+        for i, r in enumerate(spec.registers):
             rows = []
             for bit in sorted(r.feedback):
-                const, masks = compile_expr(r.feedback[bit])
-                clear = ~(1 << bit)
-                rows.append((bit, const, masks, clear))
-            explicit.append(tuple(rows))
-            wrap.append(r.length - 1 not in r.feedback)
-        self.explicit = tuple(explicit)
-        self.wrap = tuple(wrap)
+                const, terms = compile_expr(r.feedback[bit])
+                rows.append((bit, const, terms, ~(1 << bit)))
+            wrap = r.length - 1 not in r.feedback
+            next_word.append(_next_word_fn(i, r.length, tuple(rows), wrap))
+        self.next_word = tuple(next_word)
 
         self.out_order = tuple(o.name for o in spec.outputs)
         self.outputs = {
@@ -325,12 +352,9 @@ class _CompiledSystem:
     def needed_outputs(self, modes: frozenset) -> tuple[str, ...]:
         got = self._needed_cache.get(modes)
         if got is None:
-            need: set[str] = set()
-            for mode in modes:
-                for _, _, name in self.inj_by_mode.get(mode, ()):
-                    need |= self._out_closures[name]
-            got = tuple(n for n in self.out_order if n in need)
-            self._needed_cache[modes] = got
+            got = self._needed_cache[modes] = self.closure_of(
+                name for mode in modes for _, _, name in self.inj_by_mode.get(mode, ())
+            )
         return got
 
     def closure_of(self, names: Iterable[str]) -> tuple[str, ...]:
@@ -339,19 +363,40 @@ class _CompiledSystem:
             need |= self._out_closures[n]
         return tuple(n for n in self.out_order if n in need)
 
+    def evaluate(self, words, order: Sequence[str]) -> dict[str, int]:
+        """Outputs named in ``order`` (a reference closure, earliest first)."""
+        vals: dict[str, int] = {}
+        for name in order:
+            const, terms, refs = self.outputs[name]
+            v = _eval_terms(const, terms, words)
+            for ref in refs:
+                v ^= vals[ref]
+            vals[name] = v
+        return vals
 
-def _eval_compiled(compiled, words, vals) -> int:
-    const, masks, refs = compiled
-    v = const
-    for term in masks:
-        for r, m in term:
-            if words[r] & m != m:
-                break
-        else:
-            v ^= 1
-    for ref in refs:
-        v ^= vals[ref]
-    return v
+
+def _advance(comp: _CompiledSystem, words, modes: frozenset) -> list[int]:
+    """One simultaneous cycle on packed words, in system register order.
+
+    Injected outputs are evaluated on the same pre-step words as the
+    feedback functions.
+    """
+    new = [next_word(words) for next_word in comp.next_word]
+    if modes:
+        vals = comp.evaluate(words, comp.needed_outputs(modes))
+        for mode in modes:
+            for r, bit, name in comp.inj_by_mode.get(mode, ()):
+                new[r] ^= vals[name] << bit
+    return new
+
+
+def _words(state: SystemState) -> list[int]:
+    return [w for _, _, w in state.regs]
+
+
+def _state(comp: _CompiledSystem, words, cycle: int) -> SystemState:
+    regs = tuple((rid, n, w) for (rid, n), w in zip(comp.signature, words))
+    return SystemState(regs, cycle)
 
 
 def _check_state(spec: SystemSpec, state: SystemState) -> None:
@@ -369,11 +414,7 @@ def output_values(
     for n in wanted:
         if n not in comp.outputs:
             raise KeyError(f"unknown output {n!r}")
-    order = comp.closure_of(wanted)
-    words = [w for _, _, w in state.regs]
-    vals: dict[str, int] = {}
-    for name in order:
-        vals[name] = _eval_compiled(comp.outputs[name], words, vals)
+    vals = comp.evaluate(_words(state), comp.closure_of(wanted))
     return {n: vals[n] for n in wanted}
 
 
@@ -387,37 +428,8 @@ def step(
     """
     _check_state(spec, state)
     comp = spec._compiled
-    modes = frozenset(modes)
-    words = [w for _, _, w in state.regs]
-
-    vals: dict[str, int] = {}
-    for name in comp.needed_outputs(modes):
-        vals[name] = _eval_compiled(comp.outputs[name], words, vals)
-
-    new_words = []
-    for i, (rid, n, w) in enumerate(state.regs):
-        t = w >> 1
-        if comp.wrap[i]:
-            t |= (w & 1) << (n - 1)
-        for bit, const, masks, clear in comp.explicit[i]:
-            v = const
-            for term in masks:
-                for r, m in term:
-                    if words[r] & m != m:
-                        break
-                else:
-                    v ^= 1
-            t = (t & clear) | (v << bit)
-        new_words.append(t)
-
-    for mode in modes:
-        for r, bit, name in comp.inj_by_mode.get(mode, ()):
-            new_words[r] ^= vals[name] << bit
-
-    regs = tuple(
-        (rid, n, new_words[i]) for i, (rid, n, _) in enumerate(state.regs)
-    )
-    return SystemState(regs, state.cycle + 1)
+    words = _advance(comp, _words(state), frozenset(modes))
+    return _state(comp, words, state.cycle + 1)
 
 
 def run(
@@ -438,31 +450,35 @@ def run(
     _check_state(spec, state)
     comp = spec._compiled
     watch = tuple(watch)
-    out_names = []
     for target in watch:
         if isinstance(target, str):
             if target not in comp.outputs:
                 raise KeyError(f"unknown watch target {target!r}")
-            out_names.append(target)
         else:
             reg, bit = target
             if reg not in comp.index:
                 raise KeyError(f"unknown watch target {target!r}")
-            if not 0 <= bit < comp.lengths[comp.index[reg]]:
+            if not 0 <= bit < comp.signature[comp.index[reg]][1]:
                 raise KeyError(f"watch bit {bit} outside register {reg!r}")
     modes = frozenset(modes)
     traces: dict = {t: [] for t in watch}
+    outs = [(traces[t], t) for t in watch if isinstance(t, str)]
+    taps = [
+        (traces[t], comp.index[t[0]], t[1]) for t in watch if not isinstance(t, str)
+    ]
+    order = comp.closure_of(name for _, name in outs)
+    words = _words(state)
     for _ in range(cycles):
-        if out_names:
-            vals = output_values(spec, state, out_names)
-        for target in watch:
-            if isinstance(target, str):
-                traces[target].append(vals[target])
-            else:
-                reg, bit = target
-                traces[target].append((state.word(reg) >> bit) & 1)
-        state = step(spec, state, modes)
-    return {t: tuple(seq) for t, seq in traces.items()}, state
+        if order:
+            vals = comp.evaluate(words, order)
+            for seq, name in outs:
+                seq.append(vals[name])
+        for seq, r, bit in taps:
+            seq.append((words[r] >> bit) & 1)
+        words = _advance(comp, words, modes)
+    return {t: tuple(seq) for t, seq in traces.items()}, _state(
+        comp, words, state.cycle + cycles
+    )
 
 
 def tap_trace(
@@ -476,11 +492,6 @@ def tap_trace(
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
     _check_state(spec, state)
-    if reg_id not in spec._compiled.index:
-        raise KeyError(f"unknown register {reg_id!r}")
-    modes = frozenset(modes)
-    rows = []
-    for _ in range(cycles):
-        rows.append(state.bits(reg_id))
-        state = step(spec, state, modes)
-    return tuple(rows)
+    watch = [(reg_id, i) for i in range(spec.register(reg_id).length)]
+    traces, _ = run(spec, state, cycles, modes, watch)
+    return tuple(zip(*(traces[t] for t in watch)))

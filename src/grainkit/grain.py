@@ -97,9 +97,6 @@ class GrainVariant:
     def fib_variant(self) -> "GrainVariant":
         return variant(self.fib_sibling, self.repair)
 
-    def is_fibonacci(self) -> bool:
-        return self.name == self.fib_sibling
-
 
 _cache: dict[tuple[str, str], GrainVariant] = {}
 

@@ -33,7 +33,7 @@ from .anf import (
     term_sort_key,
     xor_merge,
 )
-from .engine import RegisterSpec, SystemSpec, SystemState, step
+from .engine import RegisterSpec, SystemSpec, SystemState, _advance, _words
 from .timing import product_depth
 
 __all__ = [
@@ -215,6 +215,8 @@ def check_uniform(spec: RegisterSpec, terminal: int | None = None) -> Uniformity
     """
     structural = terminal_bit(spec)
     t = structural if terminal is None else terminal
+    if t < 0:
+        raise ValueError(f"declared terminal {t} is negative")
     if t > structural:
         raise ValueError(
             f"declared terminal {t} exceeds structural terminal {structural}"
@@ -538,35 +540,16 @@ def map_system_state(
 
 
 def _transition_table(spec: RegisterSpec) -> list[int]:
-    n = spec.length
-    explicit = []
+    """Successor of every packed state, from the engine's compiled kernel."""
     for bit in spec.explicit_bits():
-        expr = spec.feedback[bit]
-        masks = []
-        for term in expr.sorted_terms():
-            mask = 0
+        for term in spec.feedback[bit].sorted_terms():
             for v in term.vars:
                 if v.reg != spec.id:
                     raise ForeignVariableError(
                         f"register {spec.id!r} is not autonomous: feedback uses {v}"
                     )
-                mask |= 1 << v.idx
-            masks.append(mask)
-        explicit.append((bit, expr.const, tuple(masks), ~(1 << bit)))
-    wrap = (n - 1) not in spec.feedback
-    table = []
-    for s in range(1 << n):
-        t = s >> 1
-        if wrap:
-            t |= (s & 1) << (n - 1)
-        for bit, const, masks, clear in explicit:
-            v = const
-            for m in masks:
-                if s & m == m:
-                    v ^= 1
-            t = (t & clear) | (v << bit)
-        table.append(t)
-    return table
+    (next_word,) = SystemSpec([spec])._compiled.next_word
+    return [next_word((s,)) for s in range(1 << spec.length)]
 
 
 def _output_prefixes(spec: RegisterSpec, horizon: int) -> list[int]:
@@ -641,6 +624,10 @@ def check_equivalence_mapped(
     so it is not demanded up front, and a corrupted register surfaces as
     an unequal verdict with its divergence point, not as an error.
     """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    if cycles < 0:
+        raise ValueError("cycles must be non-negative")
     ids = fib_system.register_ids()
     if ids != galois_system.register_ids():
         raise ValueError("systems declare different registers")
@@ -659,30 +646,32 @@ def check_equivalence_mapped(
                         f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
                     )
 
-    masks = {rid: (1 << (terminals[rid] + 1)) - 1 for rid in ids}
+    # Both systems declare the same registers in the same order, so index r
+    # of either word list is register ids[r].
+    masks = [(1 << (terminals[rid] + 1)) - 1 for rid in ids]
+    fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
+    no_modes = frozenset()
     rng = random.Random(seed)
     for trial in range(trials):
         bits = {
             rid: [rng.randrange(2) for _ in range(fib_system.register(rid).length)]
             for rid in ids
         }
-        fib_state = SystemState.from_bits(fib_system, bits)
+        fib_words = _words(SystemState.from_bits(fib_system, bits))
         mapped = {
             rid: _map_formula(galois_system.register(rid), bits[rid]) for rid in ids
         }
-        gal_state = SystemState.from_bits(galois_system, mapped)
+        gal_words = _words(SystemState.from_bits(galois_system, mapped))
         for cycle in range(cycles):
-            for rid in ids:
-                fa = fib_state.word(rid) & masks[rid]
-                ga = gal_state.word(rid) & masks[rid]
-                if fa != ga:
-                    diff = fa ^ ga
+            for r, mask in enumerate(masks):
+                diff = (fib_words[r] ^ gal_words[r]) & mask
+                if diff:
                     bit = (diff & -diff).bit_length() - 1
                     return MappedVerdict(
-                        False, trials, cycles, DivergencePoint(trial, rid, cycle, bit)
+                        False, trials, cycles, DivergencePoint(trial, ids[r], cycle, bit)
                     )
-            fib_state = step(fib_system, fib_state)
-            gal_state = step(galois_system, gal_state)
+            fib_words = _advance(fib_comp, fib_words, no_modes)
+            gal_words = _advance(gal_comp, gal_words, no_modes)
     return MappedVerdict(True, trials, cycles)
 
 

@@ -142,6 +142,17 @@ def test_verify_equivalence_mapped(capsys):
     assert rc == 0 and "equal" in out
 
 
+def test_verify_equivalence_mapped_refuses_negative_counts(capsys):
+    for flag, value in (("--trials", "-1"), ("--cycles", "-5")):
+        rc, out, err = run_cli(
+            capsys,
+            "verify", "equivalence", "--variant", "grain80-galois-1",
+            "--seed", "1", flag, value,
+        )
+        assert rc == 2 and out == ""
+        assert err == f"error: {flag[2:]} must be non-negative\n"
+
+
 def test_verify_parallel(capsys):
     for name in ("grain80-fib", "grain80-galois-4", "grain128-galois-16",
                  "grain80-galois-1"):

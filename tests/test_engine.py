@@ -120,6 +120,49 @@ def test_run_watching_z_equals_generate_keystream():
     assert traces["Z"] == bits
 
 
+@pytest.mark.parametrize("name", ["grain80-galois-1", "grain128-galois-16"])
+def test_run_matches_stepwise_reference(rng, name):
+    # run's word loop against one public step and output_values per cycle
+    system = variant(name).system
+    bits = {r.id: rand_bits(rng, r.length) for r in system.registers}
+    start = SystemState.from_bits(system, bits)
+    watch = ("Z", "H", ("b", 0), ("s", 63))
+    for modes in (frozenset(), {"init"}):
+        traces, final = run(system, start, 40, modes, watch)
+        state = start
+        for cycle in range(40):
+            vals = output_values(system, state)
+            for target in watch:
+                want = vals[target] if isinstance(target, str) else (
+                    state.bits(target[0])[target[1]]
+                )
+                assert traces[target][cycle] == want
+            state = step(system, state, modes)
+        assert final == state
+
+
+def test_run_and_tap_trace_bypass_public_step(monkeypatch, rng):
+    import grainkit.engine as engine
+
+    system = variant("grain80-galois-1").system
+    bits = {"b": rand_bits(rng, 80), "s": rand_bits(rng, 80)}
+    state = SystemState.from_bits(system, bits)
+    want_rows = []
+    probe = state
+    for _ in range(5):
+        want_rows.append(probe.bits("s"))
+        probe = step(system, probe, {"init"})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called per cycle")
+
+    monkeypatch.setattr(engine, "step", refuse)
+    monkeypatch.setattr(engine, "output_values", refuse)
+    _, final = engine.run(system, state, 5, {"init"}, ("Z",))
+    assert final == probe
+    assert engine.tap_trace(system, state, 5, "s", {"init"}) == tuple(want_rows)
+
+
 def test_tap_trace_pure_shift_delayed_copy():
     spec = ring(5)
     state = SystemState.from_bits(spec, {"r": (1, 0, 0, 1, 1)})

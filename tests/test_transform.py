@@ -6,6 +6,7 @@ from grainkit import variant
 from grainkit.anf import Anf, ForeignVariableError, Term, parse_expr, parse_term
 from grainkit.engine import RegisterSpec, SystemSpec, SystemState, run, step
 from grainkit.transform import (
+    DivergencePoint,
     MissingTermError,
     ShiftMove,
     allowed_feedback_positions,
@@ -159,6 +160,8 @@ def test_pure_fibonacci_is_uniform():
 def test_declared_terminal_cannot_exceed_structural():
     with pytest.raises(ValueError):
         check_uniform(variant("grain80-galois-4").system.register("b"), terminal=70)
+    with pytest.raises(ValueError, match="negative"):
+        check_uniform(variant("grain80-galois-4").system.register("b"), terminal=-3)
 
 
 # ---------------------------------------------------------------- check_script
@@ -457,6 +460,27 @@ def test_mapped_equivalence_zero_trials_vacuous():
     fib = variant("grain80-fib").system
     gal = variant("grain80-galois-1").system
     assert check_equivalence_mapped(fib, gal, trials=0, cycles=100, seed=1).equal
+
+
+def test_mapped_equivalence_refuses_negative_counts():
+    fib = variant("grain80-fib").system
+    gal = variant("grain80-galois-1").system
+    with pytest.raises(ValueError, match="trials"):
+        check_equivalence_mapped(fib, gal, trials=-1, cycles=500, seed=1)
+    with pytest.raises(ValueError, match="cycles"):
+        check_equivalence_mapped(fib, gal, trials=20, cycles=-5, seed=1)
+
+
+@pytest.mark.parametrize("seed, cycle", [(1, 34), (7, 42)])
+def test_mapped_divergence_point_as_printed_grain128(seed, cycle):
+    v = variant("grain128-galois-1", "as-printed")
+    verdict = check_equivalence_mapped(
+        v.fib_variant().system, v.system, trials=100, cycles=1000, seed=seed
+    )
+    assert not verdict.equal
+    assert verdict.counterexample == DivergencePoint(
+        trial=0, register="b", cycle=cycle, bit=95
+    )
 
 
 # ----------------------------------------------------- randomized small cases
