@@ -5,19 +5,39 @@ and injected outputs are all evaluated on the pre-step state.  Specs and
 states are immutable; stepping returns a fresh state, so independent
 simulations can share them freely.
 
-Each system compiles once into a single kernel that ``step``, ``run``,
-``tap_trace`` and ``output_values`` share.  A state is validated once per
-call, so ``run`` is the way to simulate many cycles: it loops on packed
-words and builds one state at the end.
+Each system compiles once; ``step``, ``run``, ``tap_trace`` and
+``output_values`` all run generated lane kernels.  A state is validated
+once per call, so ``run`` is the way to simulate many cycles: it loops on
+packed words and builds one state at the end.
+
+Lane form.  Every feedback is written ``f_j = x[(j+1) mod n] ^ g_j``, a
+rotation plus a tail.  Let ``G_j`` be the k-lane word whose lane m holds
+``g_j`` at cycle m (plus any injected output at cycle m).  Then k cycles
+are one step: ``w' = rotr(w, k) ^ XOR_j rotl(G_j, j - k + 1)`` within the
+register's length, and tap v reads ``rotr(w, v) & (2^k - 1)`` XOR
+``(G_{v+i} << (i + 1)) & (2^k - 1)`` for each window bit v+i, i < k - 1.
+Taps, windows and outputs are evaluated in dependency order, so a k is
+legal when those dependencies have no cycle.  ``run`` takes
+``cycles // k`` lane steps at the largest legal k for its modes (at most
+the shortest register's length) and the remainder as unit steps (k = 1).
+
+That k is a property of the software, not of the hardware.
+``transform.max_hw_parallel_degree`` asks for k - 1 bits of headroom above
+every tap, because duplicated hardware logic reads bits v..v+k-1 of the
+current state; a lane kernel instead computes the windows a tap needs
+before reading it.  So grain80-galois-1, of hardware degree 1, runs 17
+cycles per lane step in key generation (16 during initialization, where Z
+is injected), and every bundled Grain-128 configuration runs 32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .anf import Anf, Term, Var
+from .anf import Anf, Term, Var, xor_merge
 
 __all__ = [
     "RegisterSpec",
@@ -261,133 +281,245 @@ class SystemState:
         return tuple((rid, length) for rid, length, _ in self.regs)
 
 
-# Compiled form: per-term masks over packed register words.  A product is
-# true when, for each register it touches, word & mask == mask.
-_CompiledExpr = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+def _tail(reg: RegisterSpec, bit: int) -> Anf:
+    """``g`` in the shift-plus-tail form ``f_bit = x[(bit + 1) mod n] ^ g``."""
+    return xor_merge(reg.feedback[bit], {Term(frozenset({reg.shift_var(bit)}))})
 
 
-def _eval_terms(const: int, terms, words) -> int:
-    """Value of a compiled expression on the packed register words."""
-    v = const
-    for term in terms:
-        for r, m in term:
-            if words[r] & m != m:
-                break
-        else:
-            v ^= 1
-    return v
+# Lane-kernel nodes: ("t", r, v) is the lane word of tap v of register r,
+# ("g", r, j) the window of bit j of register r (its tail plus injections),
+# ("o", i, 0) the lane word of output i.
+def _var(node) -> str:
+    return "_".join(map(str, node))
 
 
-def _next_word_fn(i: int, length: int, rows, wrap: bool):
-    """Next packed word of register ``i``, read off the pre-step words."""
-    top = length - 1
+def _reaches(deps, src, dst) -> bool:
+    seen, todo = {src}, [src]
+    while todo:
+        node = todo.pop()
+        if node == dst:
+            return True
+        for nxt in deps.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
 
-    def next_word(words) -> int:
-        w = words[i]
-        t = w >> 1
-        if wrap:
-            t |= (w & 1) << top
-        for bit, const, terms, clear in rows:
-            t = (t & clear) | (_eval_terms(const, terms, words) << bit)
-        return t
 
-    return next_word
+def _unlane(lanes, k: int, units) -> tuple[int, ...]:
+    """Bits of k-lane words (lane 0 of the first word first), then ``units``."""
+    fmt = f"0{k}b"
+    text = "".join([format(w, fmt)[::-1] for w in lanes])
+    return tuple((text.encode() + bytes(units)).translate(_BITS))
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _CompiledSystem:
+    """A system compiled once; lane kernels are generated per (modes, k, watch)."""
+
     __slots__ = (
         "index",
-        "next_word",
-        "out_order",
-        "outputs",
-        "inj_by_mode",
-        "_needed_cache",
-        "_out_closures",
         "signature",
+        "tails",
+        "outputs",
+        "out_index",
+        "inj_by_mode",
+        "_degrees",
+        "_kernels",
     )
 
     def __init__(self, spec: SystemSpec):
         self.index = {r.id: i for i, r in enumerate(spec.registers)}
         self.signature = tuple((r.id, r.length) for r in spec.registers)
-
-        def compile_expr(expr: Anf) -> _CompiledExpr:
-            terms = []
-            for term in expr.sorted_terms():
-                masks: dict[int, int] = {}
-                for v in term.vars:
-                    masks[self.index[v.reg]] = masks.get(self.index[v.reg], 0) | (
-                        1 << v.idx
-                    )
-                terms.append(tuple(sorted(masks.items())))
-            return (expr.const, tuple(terms))
-
-        next_word = []
-        for i, r in enumerate(spec.registers):
-            rows = []
-            for bit in sorted(r.feedback):
-                const, terms = compile_expr(r.feedback[bit])
-                rows.append((bit, const, terms, ~(1 << bit)))
-            wrap = r.length - 1 not in r.feedback
-            next_word.append(_next_word_fn(i, r.length, tuple(rows), wrap))
-        self.next_word = tuple(next_word)
-
-        self.out_order = tuple(o.name for o in spec.outputs)
-        self.outputs = {
-            o.name: compile_expr(o.expr) + (o.refs,) for o in spec.outputs
+        self.tails = {
+            (i, bit): _tail(r, bit)
+            for i, r in enumerate(spec.registers)
+            for bit in sorted(r.feedback)
         }
-
-        closures: dict[str, set[str]] = {}
-        for o in spec.outputs:
-            need = {o.name}
-            for ref in o.refs:
-                need |= closures[ref]
-            closures[o.name] = need
-        self._out_closures = closures
-        inj: dict[str, list[tuple[int, int, str]]] = {}
+        self.outputs = spec.outputs
+        self.out_index = {o.name: i for i, o in enumerate(spec.outputs)}
+        inj: dict[str, list[tuple[int, int, int]]] = {}
         for j in spec.injections:
-            inj.setdefault(j.mode, []).append((self.index[j.register], j.bit, j.output))
-        self.inj_by_mode = {m: tuple(v) for m, v in inj.items()}
-        self._needed_cache: dict[frozenset, tuple[str, ...]] = {frozenset(): ()}
-
-    def needed_outputs(self, modes: frozenset) -> tuple[str, ...]:
-        got = self._needed_cache.get(modes)
-        if got is None:
-            got = self._needed_cache[modes] = self.closure_of(
-                name for mode in modes for _, _, name in self.inj_by_mode.get(mode, ())
+            inj.setdefault(j.mode, []).append(
+                (self.index[j.register], j.bit, self.out_index[j.output])
             )
+        self.inj_by_mode = {m: tuple(v) for m, v in inj.items()}
+        self._degrees: dict[frozenset, int] = {}
+        self._kernels: dict[tuple, object] = {}
+
+    def _windows(self, modes: frozenset) -> dict[tuple[int, int], list[int]]:
+        """(register, bit) of every nonzero tail or active injection -> injected outputs."""
+        wins: dict[tuple[int, int], list[int]] = {key: [] for key in self.tails}
+        for mode in sorted(modes):
+            for r, bit, out in self.inj_by_mode.get(mode, ()):
+                wins.setdefault((r, bit), []).append(out)
+        return wins
+
+    def _taps(self, expr: Anf | None) -> list:
+        if expr is None:
+            return []
+        return [("t", self.index[v.reg], v.idx) for v in sorted(expr.support())]
+
+    def _deps(self, node, wins, k: int) -> list:
+        """Nodes whose lane words ``node`` reads at k lanes."""
+        kind, r, j = node
+        if kind == "t":
+            n = self.signature[r][1]
+            return [("g", q, b) for q, b in wins if q == r and (b - j) % n <= k - 2]
+        if kind == "g":
+            return self._taps(self.tails.get((r, j))) + [("o", i, 0) for i in wins[r, j]]
+        out = self.outputs[r]
+        return self._taps(out.expr) + [("o", self.out_index[ref], 0) for ref in out.refs]
+
+    def _graph(self, roots, wins, k: int) -> dict:
+        """Dependencies at k lanes of everything ``roots`` reads."""
+        graph: dict = {}
+        todo = list(roots)
+        while todo:
+            node = todo.pop()
+            if node not in graph:
+                graph[node] = self._deps(node, wins, k)
+                todo += graph[node]
+        return graph
+
+    def degree(self, modes: frozenset) -> int:
+        """Largest k at which ``modes`` has a lane kernel (1 always does).
+
+        Tap v reads window j once k >= (j - v) mod n + 2, so dependencies
+        only grow with k; they are added in that order until one closes a
+        cycle, and k stops one short of it.
+        """
+        got = self._degrees.get(modes)
+        if got is not None:
+            return got
+        wins = self._windows(modes)
+        got = min(n for _, n in self.signature)
+        deps = self._graph([("g", r, j) for r, j in wins], wins, 1)
+        edges = sorted(
+            ((j - tap[2]) % self.signature[r][1], tap, ("g", r, j))
+            for tap in deps
+            if tap[0] == "t"
+            for r, j in wins
+            if r == tap[1]
+        )
+        for d, tap, win in edges:
+            if d + 2 > got:
+                break
+            if _reaches(deps, win, tap):
+                got = d + 1
+                break
+            deps[tap].append(win)
+        self._degrees[modes] = got
         return got
 
-    def closure_of(self, names: Iterable[str]) -> tuple[str, ...]:
-        need: set[str] = set()
-        for n in names:
-            need |= self._out_closures[n]
-        return tuple(n for n in self.out_order if n in need)
+    def kernel(self, modes: frozenset, k: int, watch: tuple = ()):
+        """``lanes(words, steps, sinks) -> words``: ``steps`` k-cycle steps.
 
-    def evaluate(self, words, order: Sequence[str]) -> dict[str, int]:
-        """Outputs named in ``order`` (a reference closure, earliest first)."""
-        vals: dict[str, int] = {}
-        for name in order:
-            const, terms, refs = self.outputs[name]
-            v = _eval_terms(const, terms, words)
-            for ref in refs:
-                v ^= vals[ref]
-            vals[name] = v
-        return vals
+        Each step appends the k-lane word of every ``watch`` target to the
+        matching list in ``sinks``.
+        """
+        key = (modes, k, watch)
+        fn = self._kernels.get(key)
+        if fn is None:
+            fn = self._kernels[key] = self._compile(modes, k, watch)
+        return fn
+
+    def _compile(self, modes: frozenset, k: int, watch: tuple):
+        if not 1 <= k <= min(n for _, n in self.signature):
+            raise ValueError(f"no lane kernel at k={k}")
+        wins = self._windows(modes)
+        targets = [
+            ("o", self.out_index[t], 0) if isinstance(t, str)
+            else ("t", self.index[t[0]], t[1])
+            for t in watch
+        ]
+        graph = self._graph([("g", r, j) for r, j in wins] + targets, wins, k)
+        try:
+            order = tuple(TopologicalSorter(graph).static_order())
+        except CycleError:
+            raise ValueError(f"no lane kernel at k={k}: lanes depend on each other") from None
+        lanes = (1 << k) - 1
+
+        def xor(parts) -> str:
+            return " ^ ".join(parts) or "0"
+
+        def expr_parts(expr) -> list[str]:
+            if expr is None:
+                return []
+            products = [
+                " & ".join(_var(("t", self.index[v.reg], v.idx)) for v in t.sorted_vars())
+                for t in expr.sorted_terms()
+            ]
+            return products + [str(lanes)] * expr.const
+
+        body = []
+        for node in order:
+            kind, r, j = node
+            if kind == "t":
+                # rotr(w, j) & lanes, plus the windows shifted in during the step
+                n, w = self.signature[r][1], f"w{r}"
+                base = f"{w} >> {j}" if n - j >= k else f"({w} >> {j} | {w} << {n - j})"
+                shifted = [
+                    f"{_var(('g', r, (j + i) % n))} << {i + 1}"
+                    for i in range(k - 1)
+                    if (r, (j + i) % n) in wins
+                ]
+                parts = [f"({xor([base] + shifted)}) & {lanes}"]
+            elif kind == "g":
+                parts = expr_parts(self.tails.get((r, j))) + [
+                    _var(("o", i, 0)) for i in wins[r, j]
+                ]
+            else:
+                out = self.outputs[r]
+                parts = expr_parts(out.expr) + [
+                    _var(("o", self.out_index[ref], 0)) for ref in out.refs
+                ]
+            body.append(f"{_var(node)} = {xor(parts)}")
+        for r, (_, n) in enumerate(self.signature):
+            # rotr(w, k) ^ rotl(window j, j - k + 1) for every window
+            w = f"w{r}"
+            parts = [f"({w} >> {k})", f"({w} & {lanes}) << {n - k}"]
+            for q, j in wins:
+                if q != r:
+                    continue
+                g, s = _var(("g", r, j)), j - k + 1
+                if s >= 0:
+                    parts.append(f"{g} << {s}")
+                else:
+                    parts.append(f"({g} >> {-s}) ^ ({g} & {(1 << -s) - 1}) << {n + s}")
+            body.append(f"{w} = {xor(parts)}")
+        body += [f"a{i}({_var(t)})" for i, t in enumerate(targets)]
+        words = "".join(f"w{r}, " for r in range(len(self.signature)))
+        src = "\n".join(
+            ["def lanes(words, steps, sinks):", f"    {words}= words"]
+            + [f"    a{i} = sinks[{i}].append" for i in range(len(targets))]
+            + ["    for _ in range(steps):"]
+            + [f"        {line}" for line in body]
+            + [f"    return [{words}]"]
+        )
+        # The source holds only integers and generated identifiers, never a
+        # register or output name taken from a spec.
+        scope: dict = {}
+        exec(compile(src, f"<lanes k={k}>", "exec"), scope)
+        return scope["lanes"]
 
 
-def _advance(comp: _CompiledSystem, words, modes: frozenset) -> list[int]:
-    """One simultaneous cycle on packed words, in system register order.
+def _advance(
+    comp: _CompiledSystem,
+    words,
+    modes: frozenset,
+    steps: int = 1,
+    watch: tuple = (),
+    sinks=(),
+) -> list[int]:
+    """``steps`` unit cycles on packed words, in system register order.
 
-    Injected outputs are evaluated on the same pre-step words as the
-    feedback functions.
+    This is the lane kernel at k = 1.  Injected outputs are evaluated on
+    the same pre-step words as the feedback functions.
     """
-    new = [next_word(words) for next_word in comp.next_word]
-    if modes:
-        vals = comp.evaluate(words, comp.needed_outputs(modes))
-        for mode in modes:
-            for r, bit, name in comp.inj_by_mode.get(mode, ()):
-                new[r] ^= vals[name] << bit
-    return new
+    return comp.kernel(modes, 1, watch)(words, steps, sinks)
 
 
 def _words(state: SystemState) -> list[int]:
@@ -410,12 +542,13 @@ def output_values(
     """Evaluate named outputs (all of them by default) on the given state."""
     _check_state(spec, state)
     comp = spec._compiled
-    wanted = comp.out_order if names is None else tuple(names)
+    wanted = tuple(comp.out_index) if names is None else tuple(names)
     for n in wanted:
-        if n not in comp.outputs:
+        if n not in comp.out_index:
             raise KeyError(f"unknown output {n!r}")
-    vals = comp.evaluate(_words(state), comp.closure_of(wanted))
-    return {n: vals[n] for n in wanted}
+    sinks = [[] for _ in wanted]
+    _advance(comp, _words(state), frozenset(), 1, wanted, sinks)
+    return {n: seq[0] for n, seq in zip(wanted, sinks)}
 
 
 def step(
@@ -449,10 +582,10 @@ def run(
         raise ValueError("cycles must be non-negative")
     _check_state(spec, state)
     comp = spec._compiled
-    watch = tuple(watch)
+    watch = tuple(dict.fromkeys(watch))
     for target in watch:
         if isinstance(target, str):
-            if target not in comp.outputs:
+            if target not in comp.out_index:
                 raise KeyError(f"unknown watch target {target!r}")
         else:
             reg, bit = target
@@ -461,24 +594,35 @@ def run(
             if not 0 <= bit < comp.signature[comp.index[reg]][1]:
                 raise KeyError(f"watch bit {bit} outside register {reg!r}")
     modes = frozenset(modes)
-    traces: dict = {t: [] for t in watch}
-    outs = [(traces[t], t) for t in watch if isinstance(t, str)]
-    taps = [
-        (traces[t], comp.index[t[0]], t[1]) for t in watch if not isinstance(t, str)
-    ]
-    order = comp.closure_of(name for _, name in outs)
-    words = _words(state)
-    for _ in range(cycles):
-        if order:
-            vals = comp.evaluate(words, order)
-            for seq, name in outs:
-                seq.append(vals[name])
-        for seq, r, bit in taps:
-            seq.append((words[r] >> bit) & 1)
-        words = _advance(comp, words, modes)
-    return {t: tuple(seq) for t, seq in traces.items()}, _state(
-        comp, words, state.cycle + cycles
+    traces, words = _run_words(comp, _words(state), cycles, modes, watch, comp.degree(modes))
+    return traces, _state(comp, words, state.cycle + cycles)
+
+
+def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
+    """``run`` on packed words: ``cycles // k`` lane steps, then unit steps."""
+    blocks, rest = divmod(cycles, k)
+    lanes = [[] for _ in watch]
+    if blocks:
+        words = comp.kernel(modes, k, watch)(words, blocks, lanes)
+    units = [[] for _ in watch]
+    if rest:
+        words = _advance(comp, words, modes, rest, watch, units)
+    traces = {t: _unlane(seq, k, unit) for t, seq, unit in zip(watch, lanes, units)}
+    return traces, words
+
+
+def _lanes_match(spec: SystemSpec, state: SystemState, cycles: int, modes, k: int) -> bool:
+    """Whether k lanes per step give the traces and final words of unit steps.
+
+    Every output and every register bit is watched.
+    """
+    comp = spec._compiled
+    watch = tuple(comp.out_index) + tuple(
+        (rid, i) for rid, n in comp.signature for i in range(n)
     )
+    words, modes = _words(state), frozenset(modes)
+    lanes = _run_words(comp, words, cycles, modes, watch, k)
+    return lanes == _run_words(comp, words, cycles, modes, watch, 1)
 
 
 def tap_trace(

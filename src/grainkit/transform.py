@@ -27,7 +27,6 @@ from .anf import (
     Anf,
     ForeignVariableError,
     Term,
-    evaluate,
     parse_term,
     remap_indices,
     term_sort_key,
@@ -65,6 +64,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT_BITS = 20
+EXHAUSTIVE_MAX_COST = 1 << 32  # states x horizon: the prefix bits held at once
 
 
 class MissingTermError(ValueError):
@@ -467,11 +467,15 @@ def unshift_sources(spec: RegisterSpec) -> dict[Term, tuple[int, ...]]:
     return {t: tuple(sorted(bits)) for t, bits in sources.items()}
 
 
-def _map_formula(galois: RegisterSpec, state: Sequence[int]) -> tuple[int, ...]:
-    """The state-conversion formula alone, without the collapse check."""
+def _state_mapper(galois: RegisterSpec) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The state-conversion formula alone, without the collapse check.
+
+    Prepared once per register, it maps any number of states: bit
+    i > terminal absorbs every tail g_j (terminal <= j < i) read
+    i - 1 - j cycles on, and each product is a tuple of state indices,
+    so mapping a state evaluates no expression.
+    """
     n = galois.length
-    if len(state) != n:
-        raise ValueError(f"state must have {n} bits, got {len(state)}")
     report = check_uniform(galois)
     if not report.uniform:
         v = report.violations[0]
@@ -488,22 +492,40 @@ def _map_formula(galois: RegisterSpec, state: Sequence[int]) -> tuple[int, ...]:
                     )
             tails[bit] = g
 
-    out = list(int(b) & 1 for b in state)
+    indexed = {
+        j: (
+            g.const,
+            [tuple(v.idx for v in term.sorted_vars()) for term in g.sorted_terms()],
+            max(v.idx for v in g.support()) if g.terms else -1,
+        )
+        for j, g in tails.items()
+    }
+    fixups: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
     for i in range(t + 1, n):
-        acc = out[i]
-        for j, g in tails.items():
+        const, products = 0, []
+        for j, (g_const, g_products, g_top) in indexed.items():
             if j >= i:
                 continue
             lag = i - 1 - j
-            try:
-                assignment = {v: state[v.idx + lag] for v in g.support()}
-            except IndexError:
-                raise ValueError(
-                    f"bit {j} reaches past the register after {lag} cycles"
-                ) from None
-            acc ^= evaluate(g, assignment)
-        out[i] = acc
-    return tuple(out)
+            if g_top + lag >= n:
+                raise ValueError(f"bit {j} reaches past the register after {lag} cycles")
+            const ^= g_const
+            products += [tuple(idx + lag for idx in product) for product in g_products]
+        fixups.append((i, const, tuple(products)))
+
+    def mapped(state: Sequence[int]) -> tuple[int, ...]:
+        bits = [int(b) & 1 for b in state]
+        out = list(bits)
+        for i, acc, products in fixups:
+            for product in products:
+                value = 1
+                for idx in product:
+                    value &= bits[idx]
+                acc ^= value
+            out[i] ^= acc
+        return tuple(out)
+
+    return mapped
 
 
 def map_initial_state(
@@ -519,7 +541,9 @@ def map_initial_state(
     """
     if galois.length != fib.length:
         raise ValueError("register lengths differ")
-    out = _map_formula(galois, state)
+    if len(state) != galois.length:
+        raise ValueError(f"state must have {galois.length} bits, got {len(state)}")
+    out = _state_mapper(galois)(state)
     if collapse_to_fibonacci(galois) != fib:
         raise ValueError("target register does not collapse to the source register")
     return out
@@ -548,8 +572,8 @@ def _transition_table(spec: RegisterSpec) -> list[int]:
                     raise ForeignVariableError(
                         f"register {spec.id!r} is not autonomous: feedback uses {v}"
                     )
-    (next_word,) = SystemSpec([spec])._compiled.next_word
-    return [next_word((s,)) for s in range(1 << spec.length)]
+    unit_step = SystemSpec([spec])._compiled.kernel(frozenset(), 1)
+    return [unit_step((s,), 1, ())[0] for s in range(1 << spec.length)]
 
 
 def _output_prefixes(spec: RegisterSpec, horizon: int) -> list[int]:
@@ -579,7 +603,10 @@ def check_equivalence_exhaustive(
 
     The default horizon is 2**n.  This is a practical oracle for equality
     of output-sequence sets, not a proof for arbitrary horizons; with a
-    bijective state correspondence the multisets match exactly.
+    bijective state correspondence the multisets match exactly.  Inputs
+    with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are refused before
+    any table is built: a 16-bit register at the default horizon is the
+    largest default check that runs.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -591,6 +618,11 @@ def check_equivalence_exhaustive(
     horizon = (1 << n) if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    if horizon << n > EXHAUSTIVE_MAX_COST:
+        raise ValueError(
+            f"exhaustive check too large: 2^{n} states x horizon {horizon} "
+            f"exceeds 2^32 prefix bits"
+        )
     pa = _output_prefixes(spec_a, horizon)
     pb = _output_prefixes(spec_b, horizon)
     ca, cb = Counter(pa), Counter(pb)
@@ -618,6 +650,10 @@ def check_equivalence_mapped(
     For each trial, a random state of the first system is converted
     register by register into the second; both run with no modes active
     and every register's bits 0..terminal must agree cycle for cycle.
+    Both advance k cycles per lane step and are compared at block
+    boundaries (see ``_mapped_degree``); a block that ends in a divergence
+    is replayed one cycle at a time, so the reported point is the first
+    divergent cycle, as with unit steps.
 
     The conversion is deliberately the bare per-register formula, not
     ``map_system_state``: collapse equality is what the simulation tests,
@@ -651,6 +687,29 @@ def check_equivalence_mapped(
     masks = [(1 << (terminals[rid] + 1)) - 1 for rid in ids]
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
     no_modes = frozenset()
+    k = _mapped_degree(fib_system, galois_system, terminals)
+
+    def divergence(fib_words, gal_words) -> tuple[int, int] | None:
+        for r, mask in enumerate(masks):
+            diff = (fib_words[r] ^ gal_words[r]) & mask
+            if diff:
+                return r, (diff & -diff).bit_length() - 1
+        return None
+
+    def replay(trial, fib_words, gal_words, first, last) -> DivergencePoint | None:
+        """First divergence in cycles first..last, one unit step at a time."""
+        for cycle in range(first, last + 1):
+            if cycle > first:
+                fib_words = _advance(fib_comp, fib_words, no_modes)
+                gal_words = _advance(gal_comp, gal_words, no_modes)
+            hit = divergence(fib_words, gal_words)
+            if hit is not None:
+                return DivergencePoint(trial, ids[hit[0]], cycle, hit[1])
+        return None
+
+    # Prepared once per check, not per trial; a register the formula
+    # refuses raises before the first trial steps, as it always has.
+    mappers = {rid: _state_mapper(galois_system.register(rid)) for rid in ids} if trials else {}
     rng = random.Random(seed)
     for trial in range(trials):
         bits = {
@@ -658,21 +717,38 @@ def check_equivalence_mapped(
             for rid in ids
         }
         fib_words = _words(SystemState.from_bits(fib_system, bits))
-        mapped = {
-            rid: _map_formula(galois_system.register(rid), bits[rid]) for rid in ids
-        }
+        mapped = {rid: mappers[rid](bits[rid]) for rid in ids}
         gal_words = _words(SystemState.from_bits(galois_system, mapped))
-        for cycle in range(cycles):
-            for r, mask in enumerate(masks):
-                diff = (fib_words[r] ^ gal_words[r]) & mask
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    return MappedVerdict(
-                        False, trials, cycles, DivergencePoint(trial, ids[r], cycle, bit)
-                    )
-            fib_words = _advance(fib_comp, fib_words, no_modes)
-            gal_words = _advance(gal_comp, gal_words, no_modes)
+        point = replay(trial, fib_words, gal_words, 0, 0) if cycles else None
+        # Cycle ``start`` agrees, so cycles start+1..start+k all agree iff
+        # cycle start+k does; only a block that ends in a divergence is replayed.
+        start = 0
+        while point is None and start < cycles - 1:
+            fib_next = fib_comp.kernel(no_modes, k)(fib_words, 1, ())
+            gal_next = gal_comp.kernel(no_modes, k)(gal_words, 1, ())
+            if divergence(fib_next, gal_next) is not None:
+                point = replay(trial, fib_words, gal_words, start, min(start + k, cycles - 1))
+            fib_words, gal_words, start = fib_next, gal_next, start + k
+        if point is not None:
+            return MappedVerdict(False, trials, cycles, point)
     return MappedVerdict(True, trials, cycles)
+
+
+def _mapped_degree(
+    fib_system: SystemSpec, galois_system: SystemSpec, terminals: dict[str, int]
+) -> int:
+    """Cycles per block of the mapped check, exact at block boundaries.
+
+    Bits below each compared terminal are pure shifts on both sides, so
+    bits 0..t at two cycles k apart cover every cycle between them once
+    t >= k - 1.  Otherwise the check compares every cycle.
+    """
+    no_modes = frozenset()
+    k = min(fib_system._compiled.degree(no_modes), galois_system._compiled.degree(no_modes))
+    for rid, t in terminals.items():
+        if terminal_bit(fib_system.register(rid)) < t or t < k - 1:
+            return 1
+    return k
 
 
 def parse_shift_script(text: str) -> tuple[ShiftMove, ...]:

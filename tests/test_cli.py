@@ -63,6 +63,27 @@ def test_keystream_input_errors(capsys):
     assert rc == 2 and "unknown variant" in err
 
 
+@pytest.mark.parametrize("bits", ["-1", "16777217", "1000000000"])
+def test_keystream_refuses_bits_out_of_range_before_loading(capsys, bits):
+    for name in ("grain80-fib", "no-such-variant"):
+        rc, out, err = run_cli(
+            capsys,
+            "keystream", "--variant", name,
+            "--key", "0" * 20, "--iv", "0" * 16, "--bits", bits,
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: bits must be between 0 and 16777216\n"
+
+
+def test_keystream_accepts_zero_bits(capsys):
+    rc, out, _ = run_cli(
+        capsys,
+        "keystream", "--variant", "grain80-fib",
+        "--key", "0" * 20, "--iv", "0" * 16, "--bits", "0",
+    )
+    assert (rc, out) == (0, "\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "keystream", "--variant", "grain80-fib")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
@@ -126,6 +147,23 @@ def test_verify_equivalence_exhaustive(tmp_path, capsys):
     assert rc == 1 and "unequal" in out
 
 
+def test_verify_equivalence_exhaustive_refuses_costly_inputs(tmp_path, capsys):
+    big = tmp_path / "big.fsr"
+    big.write_text("system big\nregister r 18\nfeedback r[17] = r[0] + r[3]*r[9]\n")
+    rc, out, err = run_cli(
+        capsys, "verify", "equivalence", "--a", str(big), "--b", str(big), "--exhaustive",
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: exhaustive check too large: 2^18 states")
+    a = tmp_path / "small_fib.fsr"
+    a.write_text(FIB4_DOC)
+    rc, _, err = run_cli(
+        capsys, "verify", "equivalence", "--a", str(a), "--b", str(a), "--exhaustive",
+        "--horizon", str(1 << 30),
+    )
+    assert rc == 2 and "too large" in err
+
+
 def test_verify_equivalence_mapped_requires_seed(capsys):
     rc, _, err = run_cli(
         capsys, "verify", "equivalence", "--variant", "grain80-galois-1"
@@ -158,6 +196,29 @@ def test_verify_parallel(capsys):
                  "grain80-galois-1"):
         rc, out, _ = run_cli(capsys, "verify", "parallel", "--variant", name)
         assert rc == 0, out
+
+
+def test_verify_parallel_runs_the_lane_kernel_at_the_declared_degree(capsys, monkeypatch):
+    rc, out, _ = run_cli(capsys, "verify", "parallel", "--variant", "grain128-galois-16")
+    assert rc == 0
+    assert out.splitlines()[-1] == (
+        "grain128-galois-16: lane kernel at k=16 matches unit steps over 63 cycles "
+        "in init and keygen modes"
+    )
+    import grainkit.cli as cli
+
+    seen = []
+
+    def mismatch(system, state, cycles, modes, k):
+        seen.append((cycles, sorted(modes), k))
+        return not modes  # the init-mode run differs
+    monkeypatch.setattr(cli, "_lanes_match", mismatch)
+    rc, out, _ = run_cli(capsys, "verify", "parallel", "--variant", "grain80-galois-8")
+    assert rc == 1
+    assert out.splitlines()[-1] == (
+        "grain80-galois-8: lane kernel at k=8 differs from unit steps in init mode"
+    )
+    assert seen == [(31, ["init"], 8)]
 
 
 def test_analyze_timing_kv(capsys):

@@ -1,0 +1,276 @@
+"""Differential tests of the k-lane kernel against unit steps.
+
+The reference here is deliberately independent of the engine: every
+register bit is its ANF feedback evaluated with ``anf.evaluate``, one
+cycle at a time, with injections XORed in from the pre-step outputs.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import grainkit.engine as engine
+import grainkit.transform as transform
+from grainkit import KeyIv, initialize, load, variant
+from grainkit.anf import Anf, Term, Var, evaluate
+from grainkit.engine import (
+    Injection,
+    OutputSpec,
+    RegisterSpec,
+    SystemSpec,
+    SystemState,
+    _lanes_match,
+    _run_words,
+    _words,
+    run,
+)
+from grainkit.transform import check_equivalence_mapped
+from conftest import ALL_VARIANTS, rand_bits
+
+from test_acceptance import _mutate_one_term, _random_uniform_transformation
+
+MODE_SETS = (frozenset(), frozenset({"init"}), frozenset({"init", "aux"}))
+
+
+def reference(spec, bits, cycles, modes, watch):
+    """Traces and every visited state (as bit dicts), one cycle at a time."""
+    state = {Var(r.id, i): bits[r.id][i] for r in spec.registers for i in range(r.length)}
+    traces = {t: [] for t in watch}
+    states = [state]
+    for _ in range(cycles):
+        outs = {}
+        for o in spec.outputs:
+            v = evaluate(o.expr, state)
+            for ref in o.refs:
+                v ^= outs[ref]
+            outs[o.name] = v
+        for t in watch:
+            traces[t].append(outs[t] if isinstance(t, str) else state[Var(*t)])
+        new = {
+            Var(r.id, i): evaluate(r.expr(i), state)
+            for r in spec.registers
+            for i in range(r.length)
+        }
+        for inj in spec.injections:
+            if inj.mode in modes:
+                new[Var(inj.register, inj.bit)] ^= outs[inj.output]
+        state = new
+        states.append(state)
+    return traces, states
+
+
+def packed(spec, state):
+    return [
+        sum(state[Var(r.id, i)] << i for i in range(r.length)) for r in spec.registers
+    ]
+
+
+@st.composite
+def systems(draw):
+    nregs = draw(st.integers(1, 3))
+    ids = ("a", "b", "c")[:nregs]
+    lengths = [draw(st.integers(3, 24)) for _ in ids]
+
+    def var():
+        r = draw(st.integers(0, nregs - 1))
+        return Var(ids[r], draw(st.integers(0, lengths[r] - 1)))
+
+    def expr(own=None):
+        terms = set()
+        for _ in range(draw(st.integers(0, 4))):
+            size = draw(st.integers(1, 3))
+            vs = {var() for _ in range(size)}
+            if own is not None and draw(st.booleans()):
+                vs = {Var(own, v.idx % lengths[ids.index(own)]) for v in vs}
+            terms.add(Term(frozenset(vs)))
+        return Anf(frozenset(terms), draw(st.integers(0, 1)))
+
+    registers = []
+    for rid, n in zip(ids, lengths):
+        explicit = draw(st.sets(st.integers(0, n - 1), max_size=4))
+        registers.append(RegisterSpec(rid, n, {bit: expr(rid) for bit in explicit}))
+    outputs = []
+    for i in range(draw(st.integers(0, 3))):
+        earlier = [o.name for o in outputs]
+        refs = tuple(r for r in earlier if draw(st.booleans()))
+        outputs.append(OutputSpec(f"O{i}", expr(), refs))
+    injections = []
+    if outputs:
+        for _ in range(draw(st.integers(0, 3))):
+            r = draw(st.integers(0, nregs - 1))
+            injections.append(
+                Injection(
+                    draw(st.sampled_from(("init", "aux"))),
+                    ids[r],
+                    draw(st.integers(0, lengths[r] - 1)),
+                    draw(st.sampled_from([o.name for o in outputs])),
+                )
+            )
+    spec = SystemSpec(registers, outputs, injections)
+    bits = {
+        rid: [draw(st.integers(0, 1)) for _ in range(n)] for rid, n in zip(ids, lengths)
+    }
+    return spec, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.sampled_from(MODE_SETS))
+def test_every_legal_k_matches_the_reference(case, modes):
+    spec, bits = case
+    comp = spec._compiled
+    kmax = comp.degree(modes)
+    watch = spec.output_names() + tuple(
+        (r.id, i) for r in spec.registers for i in range(r.length)
+    )
+    cycles = 2 * kmax + 3
+    want, states = reference(spec, bits, cycles, modes, watch)
+    start = _words(SystemState.from_bits(spec, bits))
+    for k in range(1, kmax + 1):
+        c = 2 * k + 3
+        traces, words = _run_words(comp, start, c, modes, watch, k)
+        assert words == packed(spec, states[c]), k
+        for t in watch:
+            assert traces[t] == tuple(want[t][:c]), (k, t)
+    traces, final = run(spec, SystemState.from_bits(spec, bits), cycles, modes, watch)
+    assert traces == {t: tuple(want[t]) for t in watch}
+    assert _words(final) == packed(spec, states[cycles])
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.sampled_from(MODE_SETS))
+def test_no_lane_kernel_beyond_the_derived_degree(case, modes):
+    spec, _ = case
+    comp = spec._compiled
+    kmax = comp.degree(modes)
+    if kmax < min(r.length for r in spec.registers):
+        with pytest.raises(ValueError, match="no lane kernel"):
+            comp.kernel(modes, kmax + 1)
+
+
+@pytest.mark.parametrize("repair", ["official", "as-printed"])
+@pytest.mark.parametrize("name", ALL_VARIANTS)
+def test_bundled_variants_at_their_derived_degree(name, repair, rng):
+    system = variant(name, repair).system
+    bits = {r.id: rand_bits(rng, r.length) for r in system.registers}
+    state = SystemState.from_bits(system, bits)
+    for modes in (frozenset({"init"}), frozenset()):
+        k = system._compiled.degree(modes)
+        assert _lanes_match(system, state, 2 * k + 3, modes, k), (name, sorted(modes))
+
+
+def test_random_shift_script_registers_at_every_legal_k():
+    rng = random.Random(0x5EED)
+    for _ in range(30):
+        for reg in _random_uniform_transformation(rng):
+            spec = SystemSpec([reg])
+            state = SystemState.from_bits(spec, {"r": rand_bits(rng, reg.length)})
+            kmax = spec._compiled.degree(frozenset())
+            for k in range(2, kmax + 1):
+                assert _lanes_match(spec, state, 2 * k + 3, (), k), (reg, k)
+
+
+@pytest.mark.parametrize(
+    "family, repair, init_k, keygen_k",
+    [
+        ("grain80", "official", 16, 17),
+        ("grain80", "as-printed", 17, 17),
+        ("grain128", "official", 32, 32),
+        ("grain128", "as-printed", 32, 32),
+    ],
+)
+def test_derived_lane_counts(family, repair, init_k, keygen_k):
+    for name in ALL_VARIANTS:
+        if name.startswith(family):
+            comp = variant(name, repair).system._compiled
+            assert comp.degree(frozenset({"init"})) == init_k, name
+            assert comp.degree(frozenset()) == keygen_k, name
+
+
+def test_run_unit_steps_only_the_remainder(monkeypatch, rng):
+    system = variant("grain80-galois-1").system
+    state = SystemState.from_bits(system, {r.id: rand_bits(rng, 80) for r in system.registers})
+    k = system._compiled.degree(frozenset())
+    assert k == 17
+    calls = []
+    advance = engine._advance
+
+    def spy(comp, words, modes, steps=1, watch=(), sinks=()):
+        calls.append(steps)
+        return advance(comp, words, modes, steps, watch, sinks)
+
+    monkeypatch.setattr(engine, "_advance", spy)
+    for cycles in (0, 1, 16, 17, 34, 100, 1000):
+        calls.clear()
+        run(system, state, cycles, watch=("Z",))
+        assert sum(calls) == cycles % k, cycles
+        assert len(calls) == (cycles % k > 0), cycles
+
+
+def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch):
+    fib = variant("grain80-fib").system
+    gal = variant("grain80-galois-1").system
+    cases = []
+    for bit, expr in ((69, "b[70] + b[53]*b[49]"), (64, "b[65] + b[18]"), (79, "s[0] + b[0]")):
+        feedback = dict(gal.register("b").feedback)
+        feedback[bit] = Anf.parse(expr)
+        cases.append(gal.replace_register(RegisterSpec("b", 80, feedback)))
+    lanes = [check_equivalence_mapped(fib, bad, 5, 300, 3) for bad in cases]
+    assert transform._mapped_degree(fib, gal, {"b": 63, "s": 79}) == 17
+    monkeypatch.setattr(transform, "_mapped_degree", lambda *args: 1)
+    units = [check_equivalence_mapped(fib, bad, 5, 300, 3) for bad in cases]
+    assert lanes == units
+    assert all(not verdict.equal for verdict in units)
+
+
+def test_mapped_check_on_mutated_registers_matches_unit_steps(monkeypatch):
+    # small registers put divergences on and next to block boundaries
+    rng = random.Random(0xB10C)
+    pairs = []
+    while len(pairs) < 25:
+        fib, gal = _random_uniform_transformation(rng)
+        pair = SystemSpec([fib]), SystemSpec([_mutate_one_term(rng, gal)])
+        try:
+            check_equivalence_mapped(*pair, 1, 1, 0)
+        except ValueError:
+            continue  # the mutation broke uniformity or the state mapping
+        pairs.append(pair)
+    ks = {transform._mapped_degree(f, g, {"r": transform.terminal_bit(g.registers[0])})
+          for f, g in pairs}
+    assert max(ks) > 1
+
+    def verdicts():
+        return [
+            check_equivalence_mapped(f, g, 3, cycles, seed)
+            for f, g in pairs
+            for cycles in range(12)
+            for seed in (1, 2)
+        ]
+
+    lanes = verdicts()
+    monkeypatch.setattr(transform, "_mapped_degree", lambda *args: 1)
+    units = verdicts()
+    assert lanes == units
+    assert sum(not v.equal for v in units) > 100
+
+
+def test_mapped_check_falls_back_to_unit_steps_below_the_terminal():
+    fib = variant("grain80-fib").system
+    gal = variant("grain80-galois-1").system
+    assert transform._mapped_degree(fib, gal, {"b": 15, "s": 79}) == 1
+    assert transform._mapped_degree(fib, gal, {"b": 16, "s": 79}) == 17
+
+
+def test_keystream_through_lanes_matches_unit_steps(rng):
+    # initialize runs 160 cycles at k = 16 and keygen 100 cycles at k = 17
+    v = variant("grain80-galois-4")
+    state = load(v, KeyIv(rand_bits(rng, 80), rand_bits(rng, 64)))
+    native = initialize(v, state, mode="native")
+    _, after = _run_words(
+        v.system._compiled, _words(state), v.init_cycles, frozenset({"init"}), (), 1
+    )
+    assert _words(native) == after
+    got, _ = run(v.system, native, 100, watch=("Z",))
+    want, _ = _run_words(v.system._compiled, _words(native), 100, frozenset(), ("Z",), 1)
+    assert got == want

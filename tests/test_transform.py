@@ -3,7 +3,8 @@ import random
 import pytest
 
 from grainkit import variant
-from grainkit.anf import Anf, ForeignVariableError, Term, parse_expr, parse_term
+from grainkit import transform
+from grainkit.anf import Anf, ForeignVariableError, Term, evaluate, parse_expr, parse_term
 from grainkit.engine import RegisterSpec, SystemSpec, SystemState, run, step
 from grainkit.transform import (
     DivergencePoint,
@@ -17,6 +18,7 @@ from grainkit.transform import (
     check_script,
     check_uniform,
     collapse_to_fibonacci,
+    feedback_tail,
     format_shift_script,
     map_initial_state,
     map_system_state,
@@ -405,6 +407,23 @@ def test_map_system_state_refuses_as_printed_collapse():
         map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
 
 
+@pytest.mark.parametrize("flavour", ["official", "as-printed"])
+@pytest.mark.parametrize("name", GALOIS_VARIANTS)
+def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
+    """The index-tuple form equals evaluating each lagged tail with ``evaluate``."""
+    for galois in variant(name, flavour).system.registers:
+        n, t = galois.length, terminal_bit(galois)
+        for _ in range(3):
+            bits = rand_bits(rng, n)
+            want = list(bits)
+            for i in range(t + 1, n):
+                for j in galois.explicit_bits():
+                    if t <= j < i:
+                        g, lag = feedback_tail(galois, j), i - 1 - j
+                        want[i] ^= evaluate(g, {v: bits[v.idx + lag] for v in g.support()})
+            assert transform._state_mapper(galois)(bits) == tuple(want)
+
+
 # ---------------------------------------------------------- equivalence checks
 
 
@@ -435,6 +454,18 @@ def test_exhaustive_validations():
         check_equivalence_exhaustive(
             RegisterSpec("r", 4, {3: parse_expr("q[0]")}), fib4()
         )
+
+
+def test_exhaustive_cost_gate_refuses_an_18_bit_pair_instantly():
+    import time
+
+    big = RegisterSpec("r", 18, {17: parse_expr("r[0] + r[3]*r[9]")})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        check_equivalence_exhaustive(big, big)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="too large"):
+        check_equivalence_exhaustive(fib4(), fib4(), horizon=(1 << 28) + 1)
 
 
 def test_mapped_equivalence_grain80(rng):
@@ -469,6 +500,17 @@ def test_mapped_equivalence_refuses_negative_counts():
         check_equivalence_mapped(fib, gal, trials=-1, cycles=500, seed=1)
     with pytest.raises(ValueError, match="cycles"):
         check_equivalence_mapped(fib, gal, trials=20, cycles=-5, seed=1)
+
+
+def test_mapped_equivalence_prepares_each_register_once(monkeypatch):
+    """The uniformity check and the mapping formula are built once per check, not per trial."""
+    calls = []
+    real = transform.check_uniform
+    monkeypatch.setattr(transform, "check_uniform", lambda spec: calls.append(spec.id) or real(spec))
+    fib = variant("grain80-fib").system
+    gal = variant("grain80-galois-1").system
+    assert check_equivalence_mapped(fib, gal, trials=20, cycles=40, seed=3).equal
+    assert sorted(calls) == ["b", "s"]
 
 
 @pytest.mark.parametrize("seed, cycle", [(1, 34), (7, 42)])
