@@ -14,23 +14,25 @@ from typing import Iterable, Sequence
 __all__ = ["pack_bits", "unpack_hex"]
 
 _ORDERS = ("lsb", "msb")
-
-
-def _bitpos(m: int, order: str) -> int:
-    return m % 8 if order == "lsb" else 7 - m % 8
+_DIGITS = b"01" + b"?" * 254  # bytes.translate table: 0 -> "0", 1 -> "1", others -> "?"
 
 
 def pack_bits(bits: Sequence[int] | Iterable[int], order: str = "lsb") -> str:
     if order not in _ORDERS:
         raise ValueError(f"unknown bit order {order!r}")
-    data = bytearray()
-    for m, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {m} is {bit!r}, expected 0 or 1")
-        if m % 8 == 0:
-            data.append(0)
-        data[-1] |= bit << _bitpos(m, order)
-    return data.hex()
+    bits = bits if isinstance(bits, (list, tuple)) else list(bits)
+    try:
+        text = bytes(bits).translate(_DIGITS)
+    except (TypeError, ValueError):  # an item that is not an integer in 0..255
+        text = b"?"
+    if b"?" in text:
+        for m, bit in enumerate(bits):
+            if bit not in (0, 1) or not isinstance(bit, int):
+                raise ValueError(f"bit {m} is {bit!r}, expected 0 or 1")
+    size = (len(bits) + 7) // 8
+    if order == "lsb":
+        return int(b"0" + text[::-1], 2).to_bytes(size, "little").hex()
+    return int(b"0" + text.ljust(8 * size, b"0"), 2).to_bytes(size, "big").hex()
 
 
 def unpack_hex(text: str, nbits: int | None = None, order: str = "lsb") -> tuple[int, ...]:
@@ -48,7 +50,9 @@ def unpack_hex(text: str, nbits: int | None = None, order: str = "lsb") -> tuple
         data = bytes.fromhex(text)
     except ValueError:
         raise ValueError(f"not valid hex text: {text!r}") from None
-    bits = tuple((data[m // 8] >> _bitpos(m, order)) & 1 for m in range(8 * len(data)))
+    value = int.from_bytes(data, "little" if order == "lsb" else "big")
+    digits = bin(value | 1 << 8 * len(data))[3:]  # the top sentinel bit keeps leading zeros
+    bits = tuple(map(int, digits[::-1] if order == "lsb" else digits))
     if nbits is None:
         return bits
     want_bytes = (nbits + 7) // 8

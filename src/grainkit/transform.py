@@ -11,8 +11,8 @@ logic above the terminal bit reaches past the terminal bit.
 This module implements the shifting machinery, the uniformity and
 terminal-bit arithmetic, parallelization constraints, a greedy automatic
 distributor, the inverse collapse, initial-state mapping between
-equivalent configurations, and two equivalence checkers (exhaustive for
-small registers, seeded-random mapped simulation at full scale).
+equivalent configurations, and two equivalence checkers (exact partition
+refinement for small registers, seeded-random mapped simulation at scale).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT_BITS = 20
-EXHAUSTIVE_MAX_COST = 1 << 32  # states x horizon: the prefix bits held at once
+EXHAUSTIVE_MAX_COST = 1 << 32  # states x horizon: bounds the witness and the refinement
 
 
 class MissingTermError(ValueError):
@@ -576,24 +576,26 @@ def _transition_table(spec: RegisterSpec) -> list[int]:
     return [unit_step((s,), 1, ())[0] for s in range(1 << spec.length)]
 
 
-def _output_prefixes(spec: RegisterSpec, horizon: int) -> list[int]:
-    """For every initial state, the first ``horizon`` output bits as an int.
+def _prefix_classes(succ: list[int], horizon: int) -> list[int]:
+    """Number every state by its first ``horizon`` output bits (bit 0 of each state).
 
-    Built by prefix doubling over the transition table: the earliest
-    output bit lands in the most significant position.
+    Refinement by doubling: given the classes of L-bit prefixes and the
+    L-step successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes and
+    (s & 1, cls[succ[s]]) the (L + 1)-bit ones.  Every bit of horizon after
+    the leading one doubles L, and a set bit then adds one.  A round that
+    splits no class ends refinement: longer prefixes separate nothing more.
     """
-    size = 1 << spec.length
-    jump = _transition_table(spec)
-    prefix = [s & 1 for s in range(size)]
-    have = 1
-    while have < horizon:
-        prefix = [(prefix[s] << have) | prefix[jump[s]] for s in range(size)]
-        jump = [jump[jump[s]] for s in range(size)]
-        have <<= 1
-    if have > horizon:
-        shift = have - horizon
-        prefix = [p >> shift for p in prefix]
-    return prefix
+    out = [s & 1 for s in range(len(succ))]
+    cls, jump, count = out, succ, 2
+    for bit in bin(horizon)[3:]:
+        for head, step in [(cls, jump)] + [(out, succ)] * (bit == "1"):
+            ids: dict[int, int] = {}
+            cls = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
+            if len(ids) == count:
+                return cls
+            count = len(ids)
+            jump = [jump[t] for t in step]
+    return cls
 
 
 def check_equivalence_exhaustive(
@@ -601,12 +603,11 @@ def check_equivalence_exhaustive(
 ) -> ExhaustiveVerdict:
     """Compare output-prefix multisets over every initial state of both registers.
 
-    The default horizon is 2**n.  This is a practical oracle for equality
-    of output-sequence sets, not a proof for arbitrary horizons; with a
-    bijective state correspondence the multisets match exactly.  Inputs
-    with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are refused before
-    any table is built: a 16-bit register at the default horizon is the
-    largest default check that runs.
+    Exact: ``_prefix_classes`` partitions the states of both registers by
+    their first ``horizon`` output bits (default 2**n), and the registers
+    are equal when every class holds as many states of each.  Memory is
+    O(2**n).  Inputs with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are
+    refused before any table is built.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -623,19 +624,21 @@ def check_equivalence_exhaustive(
             f"exhaustive check too large: 2^{n} states x horizon {horizon} "
             f"exceeds 2^32 prefix bits"
         )
-    pa = _output_prefixes(spec_a, horizon)
-    pb = _output_prefixes(spec_b, horizon)
-    ca, cb = Counter(pa), Counter(pb)
+    size = 1 << n
+    # side b's states are numbered size + s; bit 0 is still the output bit
+    succ = _transition_table(spec_a) + [size + t for t in _transition_table(spec_b)]
+    cls = _prefix_classes(succ, horizon)
+    ca, cb = Counter(cls[:size]), Counter(cls[size:])
     if ca == cb:
-        return ExhaustiveVerdict(True, 1 << n, horizon)
-    for side, prefixes in (("a", pa), ("b", pb)):
-        for state, prefix in enumerate(prefixes):
-            if ca[prefix] != cb[prefix]:
-                bits = tuple((prefix >> (horizon - 1 - i)) & 1 for i in range(horizon))
-                return ExhaustiveVerdict(
-                    False, 1 << n, horizon, PrefixCounterexample(side, state, bits)
-                )
-    raise AssertionError("multisets differ but no witness found")
+        return ExhaustiveVerdict(True, size, horizon)
+    first = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
+    prefix, s = [], first
+    for _ in range(horizon):
+        prefix.append(s & 1)
+        s = succ[s]
+    side, state = divmod(first, size)
+    witness = PrefixCounterexample("ab"[side], state, tuple(prefix))
+    return ExhaustiveVerdict(False, size, horizon, witness)
 
 
 def check_equivalence_mapped(

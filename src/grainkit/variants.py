@@ -7,13 +7,13 @@ NLFSR feedback over several bits; the LFSR is kept in its one-feedback
 form, where the transformation is routine and brings nothing new.
 
 Two flavors are available per document.  The default "official" flavor
-aligns the output-function taps with the original cipher definitions
-(s[64] in the Grain-80 H, s[94] in the Grain-128 H) and keeps exactly
-one copy of the b[3]*b[67] product in the 1 bit/cycle Grain-128
-configuration.  The "as-printed" flavor preserves the transcription this
-set of configurations originally circulated with: H taps s[4] / s[95],
-and the 1 bit/cycle Grain-128 list carries b[3]*b[67] both at bit 127
-and, shifted, at bit 124, which makes its collapse cancel the term.
+uses the published output-function taps (s[64] in the Grain-80 H, s[95]
+in the Grain-128 H), with which the Fibonacci forms reproduce the
+designers' test vectors, and keeps one copy of b[3]*b[67] in the 1
+bit/cycle Grain-128 configuration.  The "as-printed" flavor preserves the
+transcription these configurations originally circulated with: its
+Grain-80 H taps s[4], and its 1 bit/cycle Grain-128 list carries
+b[3]*b[67] at bit 127 and, shifted, at bit 124, cancelling it in collapse.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ feedback b[79] = s[0] + b[0] + b[62] + b[60] + b[52] + b[45] + b[37] + b[33] \
 """
 
 _GRAIN128_TAIL = """\
-output H = b[12]*s[8] + s[13]*s[20] + b[95]*s[42] + s[60]*s[79] + b[12]*b[95]*s[94]
+output H = b[12]*s[8] + s[13]*s[20] + b[95]*s[42] + s[60]*s[79] + b[12]*b[95]*s[95]
 output Z = b[2] + b[15] + b[36] + b[45] + b[64] + b[73] + b[89] + s[93] + H
 inject init b[127] = Z
 inject init s[127] = Z
@@ -224,8 +224,6 @@ def _as_printed(name: str, system: SystemSpec) -> SystemSpec:
         expr = out.expr
         if out.name == "H" and name.startswith("grain80"):
             expr = substitute_var(expr, Var("s", 64), Var("s", 4))
-        if out.name == "H" and name.startswith("grain128"):
-            expr = substitute_var(expr, Var("s", 94), Var("s", 95))
         outputs.append(OutputSpec(out.name, expr, out.refs))
     system = SystemSpec(system.registers, outputs, system.injections, system.params)
     if name == "grain128-galois-1":

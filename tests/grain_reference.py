@@ -57,7 +57,7 @@ def grain128_feedbacks(b, s):
     )
     h = (
         (b[12] & s[8]) ^ (s[13] & s[20]) ^ (b[95] & s[42])
-        ^ (s[60] & s[79]) ^ (b[12] & b[95] & s[94])
+        ^ (s[60] & s[79]) ^ (b[12] & b[95] & s[95])
     )
     z = b[2] ^ b[15] ^ b[36] ^ b[45] ^ b[64] ^ b[73] ^ b[89] ^ s[93] ^ h
     return f, g, z

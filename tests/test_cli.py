@@ -38,6 +38,31 @@ def test_keystream_pinned_vector(capsys):
     assert len(out.strip()) == 32
 
 
+# The designers' published test vectors, each in the bit order it is
+# published in: Grain v1 (Hell, Johansson, Meier 2007) least-significant
+# bit first, Grain-128 (Hell, Johansson, Maximov, Meier 2006) most-
+# significant bit first.
+PUBLISHED_VECTORS = [
+    ("grain80-fib", "0123456789abcdef1234", "0123456789abcdef", "lsb", "7f362bd3f7abae203664"),
+    ("grain80-fib", "0" * 20, "0" * 16, "lsb", "dee931cf1662a72f77d0"),
+    ("grain128-fib", "0" * 32, "0" * 24, "msb", "0fd9deefeb6fad437bf43fce35849cfe"),
+    (
+        "grain128-fib", "0123456789abcdef123456789abcdef0", "0123456789abcdef12345678",
+        "msb", "db032aff3788498b57cb894fffb6bb96",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, key, iv, order, want", PUBLISHED_VECTORS)
+def test_keystream_published_vectors(capsys, name, key, iv, order, want):
+    rc, out, err = run_cli(
+        capsys,
+        "keystream", "--variant", name, "--key", key, "--iv", iv,
+        "--bits", str(4 * len(want)), "--bit-order", order,
+    )
+    assert (rc, out.strip(), err) == (0, want, "")
+
+
 def test_keystream_galois_equivalence_mode_matches(capsys):
     args = ["--key", "0" * 20, "--iv", "0" * 16, "--bits", "128"]
     rc, fib_out, _ = run_cli(capsys, "keystream", "--variant", "grain80-fib", *args)

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,6 +31,7 @@ from grainkit.transform import (
     terminal_bit,
 )
 from conftest import ALL_VARIANTS, GALOIS_VARIANTS, rand_bits
+from test_acceptance import _mutate_one_term, _random_uniform_transformation
 
 # Reconstruction of the bundled 1 bit/cycle Grain-80 configuration from the
 # Fibonacci register, one move per destination, terms in source coordinates.
@@ -594,3 +597,61 @@ def test_step_table_agrees_with_engine(rng):
             word = sum(b << i for i, b in enumerate(bits))
             nxt = step(sys_, SystemState.from_bits(sys_, {"r": bits}))
             assert nxt.word("r") == table[word]
+
+
+def _walked_prefixes(spec: RegisterSpec, horizon: int) -> list[tuple[int, ...]]:
+    """Brute force: the first ``horizon`` output bits of every state, one walk each."""
+    table = transform._transition_table(spec)
+    prefixes = []
+    for state in range(len(table)):
+        prefix, s = [], state
+        for _ in range(horizon):
+            prefix.append(s & 1)
+            s = table[s]
+        prefixes.append(tuple(prefix))
+    return prefixes
+
+
+def test_exhaustive_refinement_matches_brute_force_prefix_counts():
+    rng = random.Random(0xD1FF)
+    pairs = []
+    for _ in range(8):
+        fib, gal = _random_uniform_transformation(rng, sizes=(4, 8))
+        pairs += [(fib, gal), (fib, _mutate_one_term(rng, gal))]
+    unequal = 0
+    for a, b in pairs:
+        n = a.length
+        for horizon in (1, 2, 3, n, 2 * n, None):
+            walked = {
+                id(spec): _walked_prefixes(spec, horizon or 1 << n) for spec in (a, b)
+            }
+            for x, y in ((a, b), (b, a)):
+                px, py = walked[id(x)], walked[id(y)]
+                cx, cy = Counter(px), Counter(py)
+                verdict = check_equivalence_exhaustive(x, y, horizon)
+                assert verdict.equal == (cx == cy), (x, y, horizon)
+                if verdict.equal:
+                    continue
+                unequal += 1
+                # the witness is the first side-a, then side-b state whose
+                # prefix occurs a different number of times on the two sides
+                witness = next(
+                    (side, state, prefix)
+                    for side, prefixes in (("a", px), ("b", py))
+                    for state, prefix in enumerate(prefixes)
+                    if cx[prefix] != cy[prefix]
+                )
+                ce = verdict.counterexample
+                assert (ce.side, ce.state, ce.prefix) == witness
+    assert unequal >= 20
+
+
+def test_exhaustive_check_memory_grows_with_states_not_horizon():
+    reg = RegisterSpec("r", 14, {13: parse_expr("r[0] + r[3]*r[9] + r[5]")})
+    tracemalloc.start()
+    try:
+        assert check_equivalence_exhaustive(reg, reg).equal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
