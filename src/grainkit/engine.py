@@ -21,6 +21,12 @@ legal when those dependencies have no cycle.  ``run`` takes
 ``cycles // k`` lane steps at the largest legal k for its modes (at most
 the shortest register's length) and the remainder as unit steps (k = 1).
 
+The sliced layout (``_CompiledSystem.sliced``) runs many instances of
+one system at once, bitsliced: one word per register bit, one instance
+per bit of each word.  It is generated from the same shift-plus-tail
+form and expression emitter, k unrolled cycles per call, and serves the
+mapped equivalence check, which steps all of its trials together.
+
 That k is a property of the software, not of the hardware.
 ``transform.max_hw_parallel_degree`` asks for k - 1 bits of headroom above
 every tap, because duplicated hardware logic reads bits v..v+k-1 of the
@@ -317,7 +323,7 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _CompiledSystem:
-    """A system compiled once; lane kernels are generated per (modes, k, watch)."""
+    """A system compiled once; kernels are generated per (modes, k, watch) or (modes, k)."""
 
     __slots__ = (
         "index",
@@ -442,17 +448,11 @@ class _CompiledSystem:
             raise ValueError(f"no lane kernel at k={k}: lanes depend on each other") from None
         lanes = (1 << k) - 1
 
-        def xor(parts) -> str:
-            return " ^ ".join(parts) or "0"
+        def tap(v: Var) -> str:
+            return _var(("t", self.index[v.reg], v.idx))
 
-        def expr_parts(expr) -> list[str]:
-            if expr is None:
-                return []
-            products = [
-                " & ".join(_var(("t", self.index[v.reg], v.idx)) for v in t.sorted_vars())
-                for t in expr.sorted_terms()
-            ]
-            return products + [str(lanes)] * expr.const
+        def out(i: int) -> str:
+            return _var(("o", i, 0))
 
         body = []
         for node in order:
@@ -466,17 +466,10 @@ class _CompiledSystem:
                     for i in range(k - 1)
                     if (r, (j + i) % n) in wins
                 ]
-                parts = [f"({xor([base] + shifted)}) & {lanes}"]
-            elif kind == "g":
-                parts = expr_parts(self.tails.get((r, j))) + [
-                    _var(("o", i, 0)) for i in wins[r, j]
-                ]
+                parts = [f"({_xor([base] + shifted)}) & {lanes}"]
             else:
-                out = self.outputs[r]
-                parts = expr_parts(out.expr) + [
-                    _var(("o", self.out_index[ref], 0)) for ref in out.refs
-                ]
-            body.append(f"{_var(node)} = {xor(parts)}")
+                parts = self._parts(node, wins, tap, out, str(lanes))
+            body.append(f"{_var(node)} = {_xor(parts)}")
         for r, (_, n) in enumerate(self.signature):
             # rotr(w, k) ^ rotl(window j, j - k + 1) for every window
             w = f"w{r}"
@@ -489,7 +482,7 @@ class _CompiledSystem:
                     parts.append(f"{g} << {s}")
                 else:
                     parts.append(f"({g} >> {-s}) ^ ({g} & {(1 << -s) - 1}) << {n + s}")
-            body.append(f"{w} = {xor(parts)}")
+            body.append(f"{w} = {_xor(parts)}")
         body += [f"a{i}({_var(t)})" for i, t in enumerate(targets)]
         words = "".join(f"w{r}, " for r in range(len(self.signature)))
         src = "\n".join(
@@ -499,11 +492,88 @@ class _CompiledSystem:
             + [f"        {line}" for line in body]
             + [f"    return [{words}]"]
         )
-        # The source holds only integers and generated identifiers, never a
-        # register or output name taken from a spec.
-        scope: dict = {}
-        exec(compile(src, f"<lanes k={k}>", "exec"), scope)
-        return scope["lanes"]
+        return _exec(src, "lanes", f"<lanes k={k}>")
+
+    def _parts(self, node, wins, tap, out, one: str) -> list[str]:
+        """XOR operands of a window ("g") or output ("o") node, the one expression emitter.
+
+        Each product of the node's ANF is an ``&`` of ``tap(var)``, its
+        constant is ``one`` (the all-ones word of the layout), and each
+        output it XORs in is ``out(index)``.
+        """
+        kind, r, j = node
+        if kind == "g":
+            expr, refs = self.tails.get((r, j)), wins[r, j]
+        else:
+            expr = self.outputs[r].expr
+            refs = [self.out_index[ref] for ref in self.outputs[r].refs]
+        parts = []
+        if expr is not None:
+            parts = [" & ".join(map(tap, t.sorted_vars())) for t in expr.sorted_terms()]
+            parts += [one] * expr.const
+        return parts + [out(i) for i in refs]
+
+    def sliced(self, modes: frozenset, k: int):
+        """``sliced(words, ones) -> words``: k cycles of many instances at once.
+
+        The bitsliced layout (Biham 1997): one word per register bit, in
+        system register order, and one instance per bit of every word;
+        ``ones`` sets the bit of every instance.  Generated from the same
+        shift-plus-tail form as the lane kernel: in each cycle, bit j of a
+        window becomes bit j + 1 XOR ``g_j`` (plus injected outputs), and
+        every other bit is only renamed, so nothing is copied.
+        """
+        key = ("sliced", modes, k)
+        fn = self._kernels.get(key)
+        if fn is None:
+            fn = self._kernels[key] = self._compile_sliced(modes, k)
+        return fn
+
+    def _compile_sliced(self, modes: frozenset, k: int):
+        wins = self._windows(modes)
+        # outputs the active injections read, directly or through refs;
+        # refs name earlier outputs, so index order evaluates them in time
+        graph = self._graph([("g", r, j) for r, j in wins], wins, 1)
+        outs = sorted(i for kind, i, _ in graph if kind == "o")
+        cur = {
+            (r, j): f"v{r}_{j}_0" for r, (_, n) in enumerate(self.signature) for j in range(n)
+        }
+        body = [f"{''.join(f'{name}, ' for name in cur.values())}= words"]
+        for c in range(k):
+
+            def tap(v: Var) -> str:
+                return cur[self.index[v.reg], v.idx]
+
+            def out(i: int) -> str:
+                return f"o{i}_{c}"
+
+            for i in outs:
+                body.append(f"{out(i)} = {_xor(self._parts(('o', i, 0), wins, tap, out, 'ones'))}")
+            nxt = {}
+            for r, j in cur:
+                above = cur[r, (j + 1) % self.signature[r][1]]
+                if (r, j) in wins:
+                    nxt[r, j] = f"v{r}_{j}_{c + 1}"
+                    parts = [above] + self._parts(("g", r, j), wins, tap, out, "ones")
+                    body.append(f"{nxt[r, j]} = {_xor(parts)}")
+                else:
+                    nxt[r, j] = above
+            cur = nxt
+        body.append(f"return [{', '.join(cur.values())}]")
+        src = "\n".join(["def sliced(words, ones):"] + [f"    {line}" for line in body])
+        return _exec(src, "sliced", f"<sliced k={k}>")
+
+
+def _xor(parts) -> str:
+    return " ^ ".join(parts) or "0"
+
+
+def _exec(src: str, name: str, filename: str):
+    # The source holds only integers and generated identifiers, never a
+    # register or output name taken from a spec.
+    scope: dict = {}
+    exec(compile(src, filename, "exec"), scope)
+    return scope[name]
 
 
 def _advance(

@@ -65,6 +65,7 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT_BITS = 20
 EXHAUSTIVE_MAX_COST = 1 << 32  # states x horizon: bounds the witness and the refinement
+_SLICE_TRIALS = 1024  # trials the mapped check steps at once, one per bit of a word
 
 
 class MissingTermError(ValueError):
@@ -467,13 +468,15 @@ def unshift_sources(spec: RegisterSpec) -> dict[Term, tuple[int, ...]]:
     return {t: tuple(sorted(bits)) for t, bits in sources.items()}
 
 
-def _state_mapper(galois: RegisterSpec) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def _state_mapper(galois: RegisterSpec) -> Callable[..., tuple[int, ...]]:
     """The state-conversion formula alone, without the collapse check.
 
     Prepared once per register, it maps any number of states: bit
     i > terminal absorbs every tail g_j (terminal <= j < i) read
     i - 1 - j cycles on, and each product is a tuple of state indices,
-    so mapping a state evaluates no expression.
+    so mapping a state evaluates no expression.  Given an all-ones mask
+    ``ones``, it maps many states at once: one word per bit, one state
+    per bit of ``ones``, and a constant sets every state's bit.
     """
     n = galois.length
     report = check_uniform(galois)
@@ -513,12 +516,13 @@ def _state_mapper(galois: RegisterSpec) -> Callable[[Sequence[int]], tuple[int, 
             products += [tuple(idx + lag for idx in product) for product in g_products]
         fixups.append((i, const, tuple(products)))
 
-    def mapped(state: Sequence[int]) -> tuple[int, ...]:
-        bits = [int(b) & 1 for b in state]
+    def mapped(state: Sequence[int], ones: int = 1) -> tuple[int, ...]:
+        bits = [int(b) & ones for b in state]
         out = list(bits)
-        for i, acc, products in fixups:
+        for i, const, products in fixups:
+            acc = ones if const else 0
             for product in products:
-                value = 1
+                value = ones
                 for idx in product:
                     value &= bits[idx]
                 acc ^= value
@@ -650,13 +654,22 @@ def check_equivalence_mapped(
 ) -> MappedVerdict:
     """Seeded-random full-scale equivalence check between two systems.
 
-    For each trial, a random state of the first system is converted
-    register by register into the second; both run with no modes active
-    and every register's bits 0..terminal must agree cycle for cycle.
-    Both advance k cycles per lane step and are compared at block
-    boundaries (see ``_mapped_degree``); a block that ends in a divergence
-    is replayed one cycle at a time, so the reported point is the first
-    divergent cycle, as with unit steps.
+    Each trial is a random state of the first system, converted register
+    by register into the second; both run with no modes active and every
+    register's bits 0..terminal must agree cycle for cycle.  The verdict
+    is unequal when any trial diverges, and it reports the first
+    divergence of the lowest-numbered such trial.
+
+    Trials run bitsliced, up to ``_SLICE_TRIALS`` at once and in order:
+    one word per register bit, trial t in bit t of every word.  The draw
+    is ``_random_bits``, equal bit for bit to ``rng.randrange(2)`` per bit
+    in trial, register, bit order, and one call of each register's
+    mapping formula maps a whole slice.  Both systems advance k cycles
+    per call and are compared at block ends (see ``_mapped_degree``), the
+    last partial block one cycle at a time; a slice stops early once its
+    first trial diverges, and no later slice runs once one has diverged.
+    Only the lowest divergent trial is then replayed, alone and one cycle
+    at a time, to find its first divergent cycle, register and bit.
 
     The conversion is deliberately the bare per-register formula, not
     ``map_system_state``: collapse equality is what the simulation tests,
@@ -684,57 +697,98 @@ def check_equivalence_mapped(
                         f"feedback of {reg.id!r} taps {v} above that register's "
                         f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
                     )
+    k = _mapped_degree(fib_system, galois_system, terminals)
+    # Prepared once per check; a register the formula refuses raises
+    # before anything is drawn, as it always has.
+    mappers = {rid: _state_mapper(galois_system.register(rid)) for rid in ids} if trials else {}
+    if not cycles:
+        return MappedVerdict(True, trials, cycles)
 
-    # Both systems declare the same registers in the same order, so index r
-    # of either word list is register ids[r].
-    masks = [(1 << (terminals[rid] + 1)) - 1 for rid in ids]
+    # Both systems declare the same registers in the same order, so they
+    # share one layout: the bits of ids[0], then of ids[1], and so on.
+    lengths = [fib_system.register(rid).length for rid in ids]
+    offsets = [sum(lengths[:r]) for r in range(len(ids))]
+    compared = [off + i for off, rid in zip(offsets, ids) for i in range(terminals[rid] + 1)]
+    width = sum(lengths)
+
+    def diverged(fib_words, gal_words) -> int:
+        bad = 0
+        for p in compared:
+            bad |= fib_words[p] ^ gal_words[p]
+        return bad
+
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
     no_modes = frozenset()
-    k = _mapped_degree(fib_system, galois_system, terminals)
+    rng = random.Random(seed)
+    # Trials run in slices of at most _SLICE_TRIALS, in order, so memory
+    # stays bounded; the first slice with a divergence holds the lowest
+    # divergent trial.
+    for first in range(0, trials, _SLICE_TRIALS):
+        count = min(_SLICE_TRIALS, trials - first)
+        ones = (1 << count) - 1
+        drawn = _random_bits(rng, count * width)
+        fib_words = [int(drawn[p::width][::-1].translate(_ASCII), 2) for p in range(width)]
+        gal_words: list[int] = []
+        for rid, off, n in zip(ids, offsets, lengths):
+            gal_words += mappers[rid](fib_words[off:off + n], ones)
+        # A trial that agrees at cycle c agrees at c+1..c+k iff it agrees
+        # at c+k, so ``bad`` holds exactly the trials diverged so far.
+        bad, cycle = diverged(fib_words, gal_words), 0
+        while not bad & 1 and cycle < cycles - 1:
+            step = k if cycle + k <= cycles - 1 else 1
+            fib_words = fib_comp.sliced(no_modes, step)(fib_words, ones)
+            gal_words = gal_comp.sliced(no_modes, step)(gal_words, ones)
+            bad |= diverged(fib_words, gal_words)
+            cycle += step
+        if bad:
+            break
+    else:
+        return MappedVerdict(True, trials, cycles)
 
-    def divergence(fib_words, gal_words) -> tuple[int, int] | None:
+    lowest = (bad & -bad).bit_length() - 1
+    bits = {
+        rid: drawn[lowest * width + off:lowest * width + off + n]
+        for rid, off, n in zip(ids, offsets, lengths)
+    }
+    fib_words = _words(SystemState.from_bits(fib_system, bits))
+    mapped = {rid: mappers[rid](bits[rid]) for rid in ids}
+    gal_words = _words(SystemState.from_bits(galois_system, mapped))
+    masks = [(1 << (terminals[rid] + 1)) - 1 for rid in ids]
+    for cycle in range(cycles):
         for r, mask in enumerate(masks):
             diff = (fib_words[r] ^ gal_words[r]) & mask
             if diff:
-                return r, (diff & -diff).bit_length() - 1
-        return None
+                bit = (diff & -diff).bit_length() - 1
+                point = DivergencePoint(first + lowest, ids[r], cycle, bit)
+                return MappedVerdict(False, trials, cycles, point)
+        fib_words = _advance(fib_comp, fib_words, no_modes)
+        gal_words = _advance(gal_comp, gal_words, no_modes)
+    raise AssertionError(f"trial {first + lowest} diverges bitsliced but not in unit steps")
 
-    def replay(trial, fib_words, gal_words, first, last) -> DivergencePoint | None:
-        """First divergence in cycles first..last, one unit step at a time."""
-        for cycle in range(first, last + 1):
-            if cycle > first:
-                fib_words = _advance(fib_comp, fib_words, no_modes)
-                gal_words = _advance(gal_comp, gal_words, no_modes)
-            hit = divergence(fib_words, gal_words)
-            if hit is not None:
-                return DivergencePoint(trial, ids[hit[0]], cycle, hit[1])
-        return None
 
-    # Prepared once per check, not per trial; a register the formula
-    # refuses raises before the first trial steps, as it always has.
-    mappers = {rid: _state_mapper(galois_system.register(rid)) for rid in ids} if trials else {}
-    rng = random.Random(seed)
-    for trial in range(trials):
-        bits = {
-            rid: [rng.randrange(2) for _ in range(fib_system.register(rid).length)]
-            for rid in ids
-        }
-        fib_words = _words(SystemState.from_bits(fib_system, bits))
-        mapped = {rid: mappers[rid](bits[rid]) for rid in ids}
-        gal_words = _words(SystemState.from_bits(galois_system, mapped))
-        point = replay(trial, fib_words, gal_words, 0, 0) if cycles else None
-        # Cycle ``start`` agrees, so cycles start+1..start+k all agree iff
-        # cycle start+k does; only a block that ends in a divergence is replayed.
-        start = 0
-        while point is None and start < cycles - 1:
-            fib_next = fib_comp.kernel(no_modes, k)(fib_words, 1, ())
-            gal_next = gal_comp.kernel(no_modes, k)(gal_words, 1, ())
-            if divergence(fib_next, gal_next) is not None:
-                point = replay(trial, fib_words, gal_words, start, min(start + k, cycles - 1))
-            fib_words, gal_words, start = fib_next, gal_next, start + k
-        if point is not None:
-            return MappedVerdict(False, trials, cycles, point)
-    return MappedVerdict(True, trials, cycles)
+def _random_bits(rng: random.Random, count: int) -> bytes:
+    """``bytes(rng.randrange(2) for _ in range(count))``, drawn in bulk.
+
+    This relies on how CPython's ``randrange(2)`` draws: each attempt
+    reads one 32-bit Mersenne Twister output, rejects it when its top bit
+    is set and otherwise returns its bit 30.  ``getrandbits(32 * m)``
+    holds m consecutive outputs, the first in its lowest 32 bits, so the
+    top byte of each decides one attempt.  A batch asks for no more
+    outputs than bits are still missing, so the generator ends where
+    ``count`` calls of ``randrange(2)`` leave it.  A test compares the
+    two bit for bit; it is what guards this dependence.
+    """
+    out = b""
+    while len(out) < count:
+        m = count - len(out)
+        tops = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        out += tops.translate(_BIT30, _TOP_SET)
+    return out
+
+
+_BIT30 = bytes((b >> 6) & 1 for b in range(256))
+_TOP_SET = bytes(range(128, 256))
+_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _mapped_degree(

@@ -224,11 +224,11 @@ def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch):
     assert all(not verdict.equal for verdict in units)
 
 
-def test_mapped_check_on_mutated_registers_matches_unit_steps(monkeypatch):
-    # small registers put divergences on and next to block boundaries
+def mutated_pairs(count=25):
+    """Small (Fibonacci, one-term mutant of a Galois form) system pairs the mapped check accepts."""
     rng = random.Random(0xB10C)
     pairs = []
-    while len(pairs) < 25:
+    while len(pairs) < count:
         fib, gal = _random_uniform_transformation(rng)
         pair = SystemSpec([fib]), SystemSpec([_mutate_one_term(rng, gal)])
         try:
@@ -236,6 +236,12 @@ def test_mapped_check_on_mutated_registers_matches_unit_steps(monkeypatch):
         except ValueError:
             continue  # the mutation broke uniformity or the state mapping
         pairs.append(pair)
+    return pairs
+
+
+def test_mapped_check_on_mutated_registers_matches_unit_steps(monkeypatch):
+    # small registers put divergences on and next to block boundaries
+    pairs = mutated_pairs()
     ks = {transform._mapped_degree(f, g, {"r": transform.terminal_bit(g.registers[0])})
           for f, g in pairs}
     assert max(ks) > 1
