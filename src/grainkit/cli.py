@@ -9,6 +9,7 @@ deterministic given its flags; randomized verification takes an explicit
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Sequence
@@ -303,7 +304,9 @@ def _cmd_map_state(args) -> int:
     return OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing keeps no state in the parser.
     parser = argparse.ArgumentParser(
         prog="grainkit",
         description="Grain stream ciphers and shift-register transformation tools",

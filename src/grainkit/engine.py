@@ -24,8 +24,10 @@ the shortest register's length) and the remainder as unit steps (k = 1).
 The sliced layout (``_CompiledSystem.sliced``) runs many instances of
 one system at once, bitsliced: one word per register bit, one instance
 per bit of each word.  It is generated from the same shift-plus-tail
-form and expression emitter, k unrolled cycles per call, and serves the
-mapped equivalence check, which steps all of its trials together.
+form and expression emitter, k unrolled cycles per call.  It serves the
+mapped equivalence check, which steps all of its trials together, and
+the exhaustive check's transition table, which steps every state of a
+register at once.
 
 That k is a property of the software, not of the hardware.
 ``transform.max_hw_parallel_degree`` asks for k - 1 bits of headroom above

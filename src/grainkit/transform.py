@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -568,7 +570,13 @@ def map_system_state(
 
 
 def _transition_table(spec: RegisterSpec) -> list[int]:
-    """Successor of every packed state, from the engine's compiled kernel."""
+    """Successor of every packed state, from one call of the sliced kernel.
+
+    All 2**n states step at once as instances of the bitsliced layout:
+    input word i is the identity plane (bit s set iff bit i of s is), so
+    output word i holds bit i of every successor, and ``_unslice``
+    transposes the output words back into one packed successor per state.
+    """
     for bit in spec.explicit_bits():
         for term in spec.feedback[bit].sorted_terms():
             for v in term.vars:
@@ -576,8 +584,51 @@ def _transition_table(spec: RegisterSpec) -> list[int]:
                     raise ForeignVariableError(
                         f"register {spec.id!r} is not autonomous: feedback uses {v}"
                     )
-    unit_step = SystemSpec([spec])._compiled.kernel(frozenset(), 1)
-    return [unit_step((s,), 1, ())[0] for s in range(1 << spec.length)]
+    n = spec.length
+    ones = (1 << (1 << n)) - 1
+    planes = [_identity_plane(n, i) & ones for i in range(n)]
+    sliced = SystemSpec([spec])._compiled.sliced(frozenset(), 1)
+    return _unslice(sliced(planes, ones), 1 << n)
+
+
+def _identity_plane(n: int, i: int) -> int:
+    """Bit i of each of the 2**n states, state s in bit s (whole bytes, 8 bits at least).
+
+    Built from repeated bytes: big-int arithmetic (such as dividing the
+    all-ones word) is superlinear in CPython and would cost more than the
+    kernel call.
+    """
+    if i < 3:
+        pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1])
+    else:
+        run = 1 << (i - 3)
+        pattern = bytes(run) + b"\xff" * run
+    size = max(1, (1 << n) >> 3)
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
+
+
+def _unslice(words: list[int], count: int) -> list[int]:
+    """Instances 0..count-1 of the sliced layout as packed ints, bit i from ``words[i]``.
+
+    Each word becomes one byte per instance (its binary digits, in
+    reverse order through a big-endian read), eight words OR into one
+    byte plane, and the byte planes interleave into fixed-width fields
+    that ``array`` reads.  Fields are written little-endian and swapped
+    on a big-endian host, so nothing depends on the host's byte order
+    or C integer sizes.
+    """
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= len(words))
+    width = array(code).itemsize
+    fields = bytearray(width * count)
+    for j in range(0, len(words), 8):
+        plane = 0
+        for i, word in enumerate(words[j : j + 8]):
+            plane |= int.from_bytes(format(word, "b").encode().translate(_SPREAD[i]), "big")
+        fields[j // 8 :: width] = plane.to_bytes(count, "little")
+    table = array(code, fields)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tolist()
 
 
 def _prefix_classes(succ: list[int], horizon: int) -> list[int]:
@@ -708,13 +759,16 @@ def check_equivalence_mapped(
     # share one layout: the bits of ids[0], then of ids[1], and so on.
     lengths = [fib_system.register(rid).length for rid in ids]
     offsets = [sum(lengths[:r]) for r in range(len(ids))]
-    compared = [off + i for off, rid in zip(offsets, ids) for i in range(terminals[rid] + 1)]
+    compared = [(off, off + terminals[rid] + 1) for off, rid in zip(offsets, ids)]
     width = sum(lengths)
 
     def diverged(fib_words, gal_words) -> int:
+        # Equal slices, the usual case, are settled by one list compare.
         bad = 0
-        for p in compared:
-            bad |= fib_words[p] ^ gal_words[p]
+        for a, b in compared:
+            if fib_words[a:b] != gal_words[a:b]:
+                for p in range(a, b):
+                    bad |= fib_words[p] ^ gal_words[p]
         return bad
 
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
@@ -789,6 +843,7 @@ def _random_bits(rng: random.Random, count: int) -> bytes:
 _BIT30 = bytes((b >> 6) & 1 for b in range(256))
 _TOP_SET = bytes(range(128, 256))
 _ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 
 def _mapped_degree(

@@ -335,6 +335,39 @@ def test_map_state_identity_for_fibonacci(capsys):
     assert rc == 0 and out.strip() == text
 
 
+PARSER_SEQUENCE = [
+    ["list-variants", "--kv"],
+    ["keystream"],
+    ["keystream", "--variant", "grain80-fib", "--key", "0" * 20, "--iv", "0" * 16, "--bits", "64"],
+    ["nonsense"],
+    ["verify"],
+    ["verify", "equivalence", "--trials", "many"],
+    ["verify", "equivalence", "--variant", "grain80-galois-1", "--seed", "1",
+     "--trials", "2", "--cycles", "5"],
+    ["transform", "--variant", "grain80-galois-1", "--spec", "x.fsr", "--auto"],
+    ["verify", "equivalence", "--variant", "grain80-galois-1"],
+    ["analyze", "timing", "--variant", "grain128-galois-4", "--kv"],
+    ["keystream", "--variant", "grain80-fib", "--key", "0" * 20, "--iv", "0" * 16,
+     "--bits", "8", "--bit-order", "middle"],
+    ["verify", "collapse", "--variant", "grain128-galois-1", "--tap-repair", "as-printed"],
+    ["--help"],
+    [],
+]
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys, monkeypatch):
+    import grainkit.cli as cli
+
+    cached = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE * 2]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE * 2]
+    assert cached == fresh
+    statuses = [rc for rc, _, _ in fresh]
+    assert statuses.count(2) >= 7 and 0 in statuses and 1 in statuses
+    assert all(err for rc, _, err in fresh if rc == 2)
+
+
 def test_runtime_imports_only_the_standard_library():
     src = Path(grainkit.__file__).resolve().parent.parent
     code = (

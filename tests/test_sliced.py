@@ -119,6 +119,22 @@ def test_divergence_at_the_last_cycle_is_reported_and_one_past_it_is_not():
     assert seen > 20
 
 
+def test_divergence_only_at_the_last_registers_terminal_bit_is_caught():
+    # r's constant reaches bit 3, its terminal bit, at cycle 3; bits 0..2
+    # still agree then, so slice bounds one short would call it equal.
+    a = RegisterSpec("a", 5, {4: parse_expr("a[0] + a[1]*a[3]")})
+    fib_r = RegisterSpec("r", 6, {5: parse_expr("r[0] + r[2]*r[3]")})
+    bad_r = RegisterSpec("r", 6, {3: parse_expr("r[4] + r[0]*r[1] + 1")})
+    fib, gal = SystemSpec([a, fib_r]), SystemSpec([a, bad_r])
+    assert terminal_bit(bad_r) == 3
+    for seed in range(5):
+        (start,) = reference_trials(fib, gal, 1, seed)
+        assert reference_divergence(fib, gal, *start, 40) == ("r", 3, 3)
+        assert check_equivalence_mapped(fib, gal, 4, 3, seed).equal
+        verdict = check_equivalence_mapped(fib, gal, 4, 4, seed)
+        assert verdict.counterexample == DivergencePoint(0, "r", 3, 3)
+
+
 def test_lowest_divergent_trial_wins_over_an_earlier_cycle():
     found = 0
     for fib, gal in mutated_pairs():

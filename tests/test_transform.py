@@ -599,6 +599,47 @@ def test_step_table_agrees_with_engine(rng):
             assert nxt.word("r") == table[word]
 
 
+def _unit_step_table(spec: RegisterSpec) -> list[int]:
+    """Reference: every state's successor from its own unit-step kernel call."""
+    unit_step = SystemSpec([spec])._compiled.kernel(frozenset(), 1)
+    return [unit_step((s,), 1, ())[0] for s in range(1 << spec.length)]
+
+
+def _random_register(rng: random.Random, n: int) -> RegisterSpec:
+    """Random tails and constants on random bits, bit 0 included; may have no feedback."""
+    feedback = {}
+    for bit in rng.sample(range(n), rng.randint(0, min(n, 3))):
+        terms = {
+            Term.of("r", *rng.sample(range(n), rng.randint(1, min(n, 3))))
+            for _ in range(rng.randint(0, 4))
+        }
+        feedback[bit] = Anf(frozenset(terms), rng.randint(0, 1))
+    return RegisterSpec("r", n, feedback)
+
+
+def test_bitsliced_table_matches_unit_steps_state_by_state():
+    rng = random.Random(0x7AB1E)
+    specs = [_random_register(rng, n) for n in range(1, 13) for _ in range(12)]
+    specs += [
+        RegisterSpec("r", 5),
+        RegisterSpec("r", 6, {0: parse_expr("r[1] + r[3]*r[5] + 1"), 5: parse_expr("r[0]")}),
+        RegisterSpec("r", 16, {15: parse_expr("r[0] + r[2]*r[9] + r[7]"),
+                               11: parse_expr("r[12] + r[1]*r[4]*r[10]")}),
+    ]
+    assert any(not s.feedback for s in specs) and any(0 in s.feedback for s in specs)
+    assert any(e.const for s in specs for e in s.feedback.values())
+    assert sum(len(s.feedback) > 1 for s in specs) > 20
+    for spec in specs:
+        assert transform._transition_table(spec) == _unit_step_table(spec), spec
+
+
+def test_table_refuses_a_foreign_variable_by_name():
+    spec = RegisterSpec("r", 4, {3: parse_expr("r[0] + q[1]*r[2]")})
+    with pytest.raises(ForeignVariableError) as info:
+        transform._transition_table(spec)
+    assert str(info.value) == "register 'r' is not autonomous: feedback uses q[1]"
+
+
 def _walked_prefixes(spec: RegisterSpec, horizon: int) -> list[tuple[int, ...]]:
     """Brute force: the first ``horizon`` output bits of every state, one walk each."""
     table = transform._transition_table(spec)
