@@ -205,7 +205,7 @@ def _cmd_verify_equivalence(args) -> int:
             )
             return OK
         ce = verdict.counterexample
-        prefix = "".join(str(b) for b in ce.prefix)
+        prefix = "".join(map(str, ce.prefix))
         print(f"unequal: side {ce.side}, initial state {ce.state}, prefix {prefix}")
         return FAIL
     if not args.variant:

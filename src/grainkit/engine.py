@@ -26,7 +26,7 @@ one system at once, bitsliced: one word per register bit, one instance
 per bit of each word.  It is generated from the same shift-plus-tail
 form and expression emitter, k unrolled cycles per call.  It serves the
 mapped equivalence check, which steps all of its trials together, and
-the exhaustive check's transition table, which steps every state of a
+the exhaustive check's prefix walk, which steps every state of a
 register at once.
 
 That k is a property of the software, not of the hardware.

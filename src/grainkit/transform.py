@@ -13,6 +13,11 @@ terminal-bit arithmetic, parallelization constraints, a greedy automatic
 distributor, the inverse collapse, initial-state mapping between
 equivalent configurations, and two equivalence checkers (exact partition
 refinement for small registers, seeded-random mapped simulation at scale).
+
+The exact checker takes the first L >= n bits of every state's output
+prefix from one bitsliced walk of L cycles over all states.  Equal L-bit
+prefixes are the partition that refinement from single bits would reach
+at L, so refinement by doubling only covers the rest of the horizon.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ class ExhaustiveVerdict:
 
 @dataclass(frozen=True)
 class PrefixCounterexample:
-    side: str  # "a" or "b"
+    side: str  # always "a": some unbalanced class holds more states of side a than of b
     state: int
     prefix: tuple[int, ...]
 
@@ -569,13 +574,18 @@ def map_system_state(
     return SystemState.from_bits(galois_system, mapped, cycle=state.cycle)
 
 
-def _transition_table(spec: RegisterSpec) -> list[int]:
-    """Successor of every packed state, from one call of the sliced kernel.
+def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
+    """Every packed state's first ``cycles`` output bits and ``cycles``-step successor.
 
-    All 2**n states step at once as instances of the bitsliced layout:
-    input word i is the identity plane (bit s set iff bit i of s is), so
-    output word i holds bit i of every successor, and ``_unslice``
-    transposes the output words back into one packed successor per state.
+    All 2**n states step together as instances of the bitsliced layout:
+    input word i is the identity plane (bit s set iff bit i of s is), and
+    the unit-step sliced kernel runs ``cycles`` times.  Before cycle c,
+    word 0 holds output bit c of every state, so ``_unslice`` of those
+    planes gives each state's prefix as an int (output bit c in bit c), and
+    of the final words its successor.  A prefix is the state's whole output
+    sequence up to ``cycles``, so states with equal prefixes are exactly the
+    classes refinement would reach at that length.  ``_walk(spec, 1)[1]``
+    is the transition table.  Prefixes of up to 64 bits fit ``_unslice``.
     """
     for bit in spec.explicit_bits():
         for term in spec.feedback[bit].sorted_terms():
@@ -586,9 +596,13 @@ def _transition_table(spec: RegisterSpec) -> list[int]:
                     )
     n = spec.length
     ones = (1 << (1 << n)) - 1
-    planes = [_identity_plane(n, i) & ones for i in range(n)]
+    words = [_identity_plane(n, i) & ones for i in range(n)]
     sliced = SystemSpec([spec])._compiled.sliced(frozenset(), 1)
-    return _unslice(sliced(planes, ones), 1 << n)
+    outputs = []
+    for _ in range(cycles):
+        outputs.append(words[0])
+        words = sliced(words, ones)
+    return _unslice(outputs, 1 << n), _unslice(words, 1 << n)
 
 
 def _identity_plane(n: int, i: int) -> int:
@@ -631,20 +645,40 @@ def _unslice(words: list[int], count: int) -> list[int]:
     return table.tolist()
 
 
-def _prefix_classes(succ: list[int], horizon: int) -> list[int]:
-    """Number every state by its first ``horizon`` output bits (bit 0 of each state).
+def _prefix_classes(spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int) -> list[int]:
+    """Number the states of both registers by their first ``horizon`` output bits.
 
-    Refinement by doubling: given the classes of L-bit prefixes and the
-    L-step successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes and
-    (s & 1, cls[succ[s]]) the (L + 1)-bit ones.  Every bit of horizon after
-    the leading one doubles L, and a set bit then adds one.  A round that
+    Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
+    still the output bit).  The classes start at L = the shortest leading
+    run of horizon's binary digits whose value is at least n (at most
+    2n - 1; all digits when horizon < n): equal L-bit prefixes from
+    ``_walk`` are numbered alike.  Refinement then doubles over the
+    remaining digits: given the classes of L-bit prefixes and the L-step
+    successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes, and for a
+    set digit (s & 1, cls[succ[s]]) the (L + 1)-bit ones.  A round that
     splits no class ends refinement: longer prefixes separate nothing more.
+    Returning drops the seed and round tables before the caller builds a
+    witness.
     """
-    out = [s & 1 for s in range(len(succ))]
-    cls, jump, count = out, succ, 2
-    for bit in bin(horizon)[3:]:
+    n = spec_a.length
+    size = 1 << n
+    digits = bin(horizon)[2:]
+    lead = next((i for i in range(1, len(digits)) if int(digits[:i], 2) >= n), len(digits))
+    (pa, jump), (pb, jb) = (_walk(spec, int(digits[:lead], 2)) for spec in (spec_a, spec_b))
+    ids: dict[int, int] = {}
+    cls = [ids.setdefault(p, len(ids)) for part in (pa, pb) for p in part]
+    count = len(ids)
+    del pa, pb, ids  # the seed prefixes are numbered; drop them before the rounds
+    jump += [size + t for t in jb]
+    del jb
+    rest = digits[lead:]
+    out = succ = []  # the unit-step rounds' tables, built only when a digit needs them
+    if "1" in rest:
+        succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
+        out = [0, 1] * size  # bit 0 of every entry
+    for bit in rest:
         for head, step in [(cls, jump)] + [(out, succ)] * (bit == "1"):
-            ids: dict[int, int] = {}
+            ids = {}
             cls = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
             if len(ids) == count:
                 return cls
@@ -660,9 +694,13 @@ def check_equivalence_exhaustive(
 
     Exact: ``_prefix_classes`` partitions the states of both registers by
     their first ``horizon`` output bits (default 2**n), and the registers
-    are equal when every class holds as many states of each.  Memory is
-    O(2**n).  Inputs with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are
-    refused before any table is built.
+    are equal when every class holds as many states of each.  The first
+    L >= n of those bits (all of them, for a horizon below n) come from one
+    sliced ``_walk`` of L cycles: states with equal L-bit prefixes are the
+    very classes that refinement from single bits reaches at L, so only the
+    rest of the horizon is refined by doubling.  Memory is O(2**n).  Inputs
+    with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are refused before
+    any table is built.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -680,19 +718,19 @@ def check_equivalence_exhaustive(
             f"exceeds 2^32 prefix bits"
         )
     size = 1 << n
-    # side b's states are numbered size + s; bit 0 is still the output bit
-    succ = _transition_table(spec_a) + [size + t for t in _transition_table(spec_b)]
-    cls = _prefix_classes(succ, horizon)
-    ca, cb = Counter(cls[:size]), Counter(cls[size:])
-    if ca == cb:
+    cls = _prefix_classes(spec_a, spec_b, horizon)
+    if sorted(cls[:size]) == sorted(cls[size:]):
         return ExhaustiveVerdict(True, size, horizon)
-    first = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
-    prefix, s = [], first
+    # Both sides hold 2**n states, so some unbalanced class holds more of
+    # side a than of side b: the first unbalanced state is always on side a.
+    ca, cb = Counter(cls[:size]), Counter(cls[size:])
+    state = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
+    table = _walk(spec_a, 1)[1]
+    prefix, s = [], state
     for _ in range(horizon):
         prefix.append(s & 1)
-        s = succ[s]
-    side, state = divmod(first, size)
-    witness = PrefixCounterexample("ab"[side], state, tuple(prefix))
+        s = table[s]
+    witness = PrefixCounterexample("a", state, tuple(prefix))
     return ExhaustiveVerdict(False, size, horizon, witness)
 
 

@@ -587,10 +587,8 @@ def test_randomized_scripts_preserve_output_sequences():
 def test_step_table_agrees_with_engine(rng):
     # the exhaustive checker's transition table against the generic engine
     fib, gal, _ = _random_uniform_case(random.Random(77))
-    from grainkit.transform import _transition_table
-
     for spec in (fib, gal):
-        table = _transition_table(spec)
+        table = transform._walk(spec, 1)[1]
         sys_ = SystemSpec([spec])
         for _ in range(20):
             bits = rand_bits(rng, spec.length)
@@ -630,19 +628,52 @@ def test_bitsliced_table_matches_unit_steps_state_by_state():
     assert any(e.const for s in specs for e in s.feedback.values())
     assert sum(len(s.feedback) > 1 for s in specs) > 20
     for spec in specs:
-        assert transform._transition_table(spec) == _unit_step_table(spec), spec
+        assert transform._walk(spec, 1)[1] == _unit_step_table(spec), spec
 
 
 def test_table_refuses_a_foreign_variable_by_name():
     spec = RegisterSpec("r", 4, {3: parse_expr("r[0] + q[1]*r[2]")})
-    with pytest.raises(ForeignVariableError) as info:
-        transform._transition_table(spec)
-    assert str(info.value) == "register 'r' is not autonomous: feedback uses q[1]"
+    for cycles in (1, 7):
+        with pytest.raises(ForeignVariableError) as info:
+            transform._walk(spec, cycles)
+        assert str(info.value) == "register 'r' is not autonomous: feedback uses q[1]"
+
+
+def _public_step_table(spec: RegisterSpec) -> list[int]:
+    """Reference: every state's successor from one public ``engine.step`` each."""
+    system = SystemSpec([spec])
+    return [
+        step(system, SystemState.from_bits(system, {"r": [s >> i & 1 for i in range(spec.length)]}))
+        .word("r")
+        for s in range(1 << spec.length)
+    ]
+
+
+def test_walk_matches_public_unit_steps_state_by_state():
+    rng = random.Random(0x3A1C)
+    specs = [_random_register(rng, n) for n in range(1, 13) for _ in range(3)]
+    specs.append(
+        RegisterSpec("r", 6, {0: parse_expr("r[1] + r[3]*r[5] + 1"), 5: parse_expr("r[0]")})
+    )
+    assert any(not s.feedback for s in specs) and any(0 in s.feedback for s in specs)
+    assert any(e.const for s in specs for e in s.feedback.values())
+    assert sum(len(s.feedback) > 1 for s in specs) > 5
+    for spec in specs:
+        n = spec.length
+        table = _public_step_table(spec)
+        for cycles in sorted({1, 2, max(n - 1, 1), n, 2 * n - 1}):
+            prefixes, successors = transform._walk(spec, cycles)
+            for state in range(1 << n):
+                prefix, s = 0, state
+                for c in range(cycles):
+                    prefix |= (s & 1) << c
+                    s = table[s]
+                assert (prefixes[state], successors[state]) == (prefix, s), (spec, cycles, state)
 
 
 def _walked_prefixes(spec: RegisterSpec, horizon: int) -> list[tuple[int, ...]]:
     """Brute force: the first ``horizon`` output bits of every state, one walk each."""
-    table = transform._transition_table(spec)
+    table = transform._walk(spec, 1)[1]
     prefixes = []
     for state in range(len(table)):
         prefix, s = [], state
@@ -685,6 +716,109 @@ def test_exhaustive_refinement_matches_brute_force_prefix_counts():
                 ce = verdict.counterexample
                 assert (ce.side, ce.state, ce.prefix) == witness
     assert unequal >= 20
+
+
+def _refined_digits(n: int, horizon: int) -> str:
+    """The horizon digits that refinement still covers after the seeded walk."""
+    digits = bin(horizon)[2:]
+    lead = next((i for i in range(1, len(digits)) if int(digits[:i], 2) >= n), len(digits))
+    return digits[lead:]
+
+
+def _register_from_table(n: int, table: list[int]) -> RegisterSpec:
+    """The register whose successor of state s is ``table[s]``: one ANF per bit."""
+    feedback = {}
+    for j in range(n):
+        coef = [t >> j & 1 for t in table]
+        for i in range(n):  # Moebius transform: truth table to ANF coefficients
+            for x in range(1 << n):
+                if x >> i & 1:
+                    coef[x] ^= coef[x ^ 1 << i]
+        terms = frozenset(
+            Term.of("r", *(i for i in range(n) if m >> i & 1)) for m in range(1, 1 << n) if coef[m]
+        )
+        feedback[j] = Anf(terms, coef[0])
+    return RegisterSpec("r", n, feedback)
+
+
+# Two registers given by successor tables whose prefix multisets first
+# differ at 11 (4 bits) and 14 (5 bits) output bits: the second table of a
+# pair changes one successor of the first to another state with the same
+# output bit.  Found by a seeded random search over such table pairs; unlike
+# criterion-5 pairs, their classes still split after 2n bits, so the
+# refinement rounds after the seeded walk decide the verdict and witness.
+_LATE_TABLES = [
+    (4, 11, [7, 11, 14, 4, 0, 15, 13, 5, 10, 2, 9, 9, 12, 7, 13, 3], {7: 1}),
+    (5, 14, [3, 22, 7, 6, 9, 28, 2, 10, 5, 8, 15, 15, 5, 14, 13, 16,
+             9, 16, 21, 12, 3, 0, 14, 4, 20, 17, 27, 24, 3, 6, 4, 28], {29: 22}),
+]
+
+
+def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
+    rng = random.Random(0xC0DE)
+    cases = []
+    for _ in range(10):
+        fib, gal = _random_uniform_transformation(rng, sizes=(4, 10))
+        n = fib.length
+        power = 1 << (n - 1).bit_length()  # the first power of two at or above n
+        horizons = {1, n - 1, n, 2 * n + 1, 3 * n}
+        horizons |= {power + d for d in (-1, 0, 1)} | {2 * power + d for d in (-1, 0, 1)}
+        cases += [(fib, gal, horizons, None), (fib, _mutate_one_term(rng, gal), horizons, None)]
+    assert {4, 10} <= {a.length for a, _, _, _ in cases}
+    for n, first, table, changes in _LATE_TABLES:
+        other = [changes.get(s, t) for s, t in enumerate(table)]
+        a, b = _register_from_table(n, table), _register_from_table(n, other)
+        cases.append((a, b, range(1, 64), first))
+    for _ in range(12):  # arbitrary successor tables: many states share successors
+        n = rng.randint(2, 5)
+        table = [rng.randrange(1 << n) for _ in range(1 << n)]
+        other = list(table)
+        for _ in range(rng.randint(1, 2)):
+            other[rng.randrange(1 << n)] = rng.randrange(1 << n)
+        a, b = _register_from_table(n, table), _register_from_table(n, other)
+        cases.append((a, b, range(1, 4 * n + 4), None))
+    paths, unequal = Counter(), 0
+    for a, b, horizons, first in cases:
+        n = a.length
+        longest = max(horizons)
+        walked = {}
+        for spec in (a, b):
+            table = _unit_step_table(spec)
+            walked[id(spec)] = prefixes = []
+            for state in range(1 << n):
+                prefix, s = [], state
+                for _ in range(longest):
+                    prefix.append(s & 1)
+                    s = table[s]
+                prefixes.append(tuple(prefix))
+        for horizon in sorted(horizons):
+            rest = _refined_digits(n, horizon)
+            if horizon < n:
+                paths["seed only, below n"] += 1
+            elif not rest:
+                paths["seed only"] += 1
+            else:
+                paths["unit-step rounds" if "1" in rest else "doubling rounds only"] += 1
+            for x, y in ((a, b), (b, a)):
+                px = [p[:horizon] for p in walked[id(x)]]
+                py = [p[:horizon] for p in walked[id(y)]]
+                cx, cy = Counter(px), Counter(py)
+                assert first is None or (cx == cy) == (horizon < first)
+                verdict = check_equivalence_exhaustive(x, y, horizon)
+                assert verdict.equal == (cx == cy), (x, y, horizon)
+                if verdict.equal:
+                    continue
+                unequal += 1
+                witness = next(
+                    (side, state, prefix)
+                    for side, prefixes in (("a", px), ("b", py))
+                    for state, prefix in enumerate(prefixes)
+                    if cx[prefix] != cy[prefix]
+                )
+                ce = verdict.counterexample
+                assert (ce.side, ce.state, ce.prefix) == witness, (x, y, horizon)
+    assert min(paths.values()) >= 10 and len(paths) == 4, paths
+    assert unequal >= 50, unequal
 
 
 def test_exhaustive_check_memory_grows_with_states_not_horizon():
