@@ -9,12 +9,10 @@ model for comparing configurations.
 
 from .anf import (
     Anf,
-    AnfSummary,
     ForeignVariableError,
     MissingVariableError,
     Term,
     Var,
-    analyze,
     evaluate,
     parse_expr,
     parse_term,

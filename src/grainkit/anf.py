@@ -9,20 +9,18 @@ term XORed into an expression that already contains it cancels out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Var",
     "Term",
     "Anf",
-    "AnfSummary",
     "MissingVariableError",
     "ForeignVariableError",
     "evaluate",
     "xor_merge",
     "remap_indices",
-    "analyze",
     "substitute_var",
     "ExprError",
     "parse_term",
@@ -116,10 +114,6 @@ class Anf:
         return cls(frozenset(), 0)
 
     @classmethod
-    def of(cls, terms: Iterable[Term], const: int = 0) -> "Anf":
-        return cls(frozenset(terms), const)
-
-    @classmethod
     def parse(cls, text: str) -> "Anf":
         return parse_expr(text)
 
@@ -137,16 +131,6 @@ class Anf:
         if self.const:
             parts.append("1")
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class AnfSummary:
-    """Shape summary of an expression: sizes, degrees and index spans."""
-
-    term_count: int
-    max_degree: int
-    index_range: Mapping[str, tuple[int, int]] = field(default_factory=dict)
-    support: frozenset[Var] = frozenset()
 
 
 def evaluate(expr: Anf, assignment: Mapping[Var, int]) -> int:
@@ -195,21 +179,6 @@ def remap_indices(
             moved.append(Var(register, (v.idx + delta) % modulus))
         out.append(Term(frozenset(moved)))
     return frozenset(out)
-
-
-def analyze(expr: Anf) -> AnfSummary:
-    """Term count, maximum degree, per-register index spans and support."""
-    ranges: dict[str, tuple[int, int]] = {}
-    for v in expr.support():
-        lo, hi = ranges.get(v.reg, (v.idx, v.idx))
-        ranges[v.reg] = (min(lo, v.idx), max(hi, v.idx))
-    max_degree = max((t.degree for t in expr.terms), default=0)
-    return AnfSummary(
-        term_count=len(expr.terms),
-        max_degree=max_degree,
-        index_range=ranges,
-        support=expr.support(),
-    )
 
 
 def substitute_var(expr: Anf, old: Var, new: Var) -> Anf:

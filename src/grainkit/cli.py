@@ -47,7 +47,7 @@ def _load_system(args) -> tuple[str, SystemSpec]:
     if getattr(args, "variant", None):
         v = _load_variant(args)
         return v.name, v.system
-    doc = parse_spec(_read(args.spec), source=args.spec)
+    doc = parse_spec(_read(args.spec))
     return doc.name, doc.system
 
 
@@ -192,8 +192,8 @@ def _cmd_verify_equivalence(args) -> int:
     if args.exhaustive:
         if not (args.a and args.b):
             raise _CliError("--exhaustive needs --a and --b spec files")
-        sys_a = parse_spec(_read(args.a), source=args.a).system
-        sys_b = parse_spec(_read(args.b), source=args.b).system
+        sys_a = parse_spec(_read(args.a)).system
+        sys_b = parse_spec(_read(args.b)).system
         if len(sys_a.registers) != 1 or len(sys_b.registers) != 1:
             raise _CliError("exhaustive checking expects single-register documents")
         verdict = transform.check_equivalence_exhaustive(
@@ -206,7 +206,7 @@ def _cmd_verify_equivalence(args) -> int:
             return OK
         ce = verdict.counterexample
         prefix = "".join(map(str, ce.prefix))
-        print(f"unequal: side {ce.side}, initial state {ce.state}, prefix {prefix}")
+        print(f"unequal: initial state {ce.state}, prefix {prefix}")
         return FAIL
     if not args.variant:
         raise _CliError("either --exhaustive with --a/--b, or --variant is required")

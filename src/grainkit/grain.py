@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from .bits import pack_bits, unpack_hex
 from .engine import SystemSpec, SystemState, run
-from .specfile import SpecDocument
 from .transform import map_system_state
 from . import variants as _variants
 
@@ -92,7 +91,6 @@ class GrainVariant:
     repair: str
     fib_sibling: str
     terminals: Mapping[str, int]
-    document: SpecDocument
 
     def fib_variant(self) -> "GrainVariant":
         return variant(self.fib_sibling, self.repair)
@@ -110,7 +108,7 @@ def variant(name: str, repair: str = "official") -> GrainVariant:
         key_bits, iv_bits, init_cycles, degree, sibling, b_terminal = (
             _variants.metadata(name)
         )
-        doc, system = _variants.build_system(name, repair)
+        system = _variants.build_system(name, repair)
         _cache[key] = GrainVariant(
             name=name,
             system=system,
@@ -121,7 +119,6 @@ def variant(name: str, repair: str = "official") -> GrainVariant:
             repair=repair,
             fib_sibling=sibling,
             terminals={"b": b_terminal, "s": key_bits - 1},
-            document=doc,
         )
     return _cache[key]
 

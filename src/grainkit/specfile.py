@@ -21,7 +21,7 @@ the line and the column of the failing token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .anf import Anf, ExprError, Var, parse_expr_with_refs
@@ -42,11 +42,10 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class SpecDocument:
-    """A parsed system plus the source lines its pieces came from."""
+    """A parsed system and the name its document declares."""
 
     name: str
     system: SystemSpec
-    locations: Mapping[tuple, int] = field(default_factory=dict, compare=False)
 
 
 _REGISTER_RE = re.compile(r"^register\s+([A-Za-z_][A-Za-z0-9_]*)\s+(\d+)\s*$")
@@ -98,7 +97,7 @@ def _parse_line_expr(
     return expr, tuple(n for n in output_names if n in refs)
 
 
-def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
+def parse_spec(text: str) -> SpecDocument:
     """Parse a system document, rejecting unknown directives with positions."""
     name: str | None = None
     reg_order: list[str] = []
@@ -108,7 +107,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
     out_names: list[str] = []
     injections: list[Injection] = []
     params: dict[str, int] = {}
-    locations: dict[tuple, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -124,7 +122,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             if name is not None:
                 raise SpecError(lineno, "duplicate system directive")
             name = m.group(1)
-            locations[("system",)] = lineno
             continue
         if name is None:
             raise SpecError(lineno, "the document must start with 'system <name>'")
@@ -141,7 +138,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             reg_order.append(rid)
             reg_len[rid] = length
             feedback[rid] = {}
-            locations[("register", rid)] = lineno
         elif keyword == "feedback":
             m = _FEEDBACK_RE.match(line)
             if not m:
@@ -161,7 +157,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
                 m.group(3), indent + m.start(3) + 1, lineno, reg_len, out_names, False
             )
             feedback[rid][bit] = expr
-            locations[("feedback", rid, bit)] = lineno
         elif keyword == "output":
             m = _OUTPUT_RE.match(line)
             if not m:
@@ -174,7 +169,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             )
             outputs.append(OutputSpec(oname, expr, refs))
             out_names.append(oname)
-            locations[("output", oname)] = lineno
         elif keyword == "inject":
             m = _INJECT_RE.match(line)
             if not m:
@@ -192,7 +186,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             if oname not in out_names:
                 raise SpecError(lineno, f"{oname!r} is not a declared output")
             injections.append(Injection(mode, rid, bit, oname))
-            locations[("inject", len(injections) - 1)] = lineno
         elif keyword == "param":
             m = _PARAM_RE.match(line)
             if not m:
@@ -201,7 +194,6 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
             if key in params:
                 raise SpecError(lineno, f"duplicate param {key!r}")
             params[key] = int(m.group(2))
-            locations[("param", key)] = lineno
         else:
             raise SpecError(lineno, f"unknown directive {keyword!r}")
 
@@ -214,7 +206,7 @@ def parse_spec(text: str, source: str = "<string>") -> SpecDocument:
         RegisterSpec(rid, reg_len[rid], feedback[rid]) for rid in reg_order
     )
     system = SystemSpec(registers, tuple(outputs), tuple(injections), params)
-    return SpecDocument(name, system, locations)
+    return SpecDocument(name, system)
 
 
 def _format_output_expr(out: OutputSpec) -> str:
@@ -223,8 +215,6 @@ def _format_output_expr(out: OutputSpec) -> str:
         return base
     refs = " + ".join(out.refs)
     if out.expr.is_zero():
-        return refs
-    if base == "0":
         return refs
     return f"{base} + {refs}"
 

@@ -39,7 +39,7 @@ from .anf import (
     term_sort_key,
     xor_merge,
 )
-from .engine import RegisterSpec, SystemSpec, SystemState, _advance, _words
+from .engine import RegisterSpec, SystemSpec, SystemState
 from .timing import product_depth
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT_BITS = 20
-EXHAUSTIVE_MAX_COST = 1 << 32  # states x horizon: bounds the witness and the refinement
 _SLICE_TRIALS = 1024  # trials the mapped check steps at once, one per bit of a word
 
 
@@ -133,8 +132,7 @@ class ExhaustiveVerdict:
 
 @dataclass(frozen=True)
 class PrefixCounterexample:
-    side: str  # always "a": some unbalanced class holds more states of side a than of b
-    state: int
+    state: int  # of the first register
     prefix: tuple[int, ...]
 
 
@@ -375,12 +373,7 @@ def _default_term_cost(term: Term) -> float:
     return 1.0 + product_depth(term.degree)
 
 
-def auto_distribute(
-    spec: RegisterSpec,
-    terminal: int,
-    k: int,
-    cost: Callable[[Term], float] | None = None,
-) -> Distribution:
+def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     """Greedy distribution of the top bit's movable terms over allowed positions.
 
     Terms are placed in descending cost order onto the feasible position
@@ -394,7 +387,6 @@ def auto_distribute(
             f"terminal {terminal} is below the spread bound "
             f"{min_terminal_bit(spec.expr(n - 1), spec.id)}"
         )
-    cost = cost or _default_term_cost
     positions = allowed_feedback_positions(n, terminal, k)
     top = n - 1
     g = feedback_tail(spec, top)
@@ -405,11 +397,11 @@ def auto_distribute(
         if term.registers() == {spec.id}:
             movable.append(term)
         else:
-            load[top] += cost(term)  # foreign terms stay and weigh the top bit
+            load[top] += _default_term_cost(term)  # foreign terms stay and weigh the top bit
 
     stranded: list[Term] = []
     dests: dict[Term, int] = {}
-    for term in sorted(movable, key=lambda t: (-cost(t), term_sort_key(t))):
+    for term in sorted(movable, key=lambda t: (-_default_term_cost(t), term_sort_key(t))):
         own = [v.idx for v in term.vars]
         lo, hi = min(own), max(own)
         feasible = [p for p in positions if (n - 1 - p) <= lo and hi - (n - 1 - p) <= terminal]
@@ -417,7 +409,7 @@ def auto_distribute(
             stranded.append(term)
             continue
         best = min(feasible, key=lambda p: (load[p], -p))
-        load[best] += cost(term)
+        load[best] += _default_term_cost(term)
         dests[term] = best
 
     script = tuple(
@@ -645,7 +637,9 @@ def _unslice(words: list[int], count: int) -> list[int]:
     return table.tolist()
 
 
-def _prefix_classes(spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int) -> list[int]:
+def _prefix_classes(
+    spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int
+) -> tuple[list[int], int]:
     """Number the states of both registers by their first ``horizon`` output bits.
 
     Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
@@ -656,9 +650,13 @@ def _prefix_classes(spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int) ->
     remaining digits: given the classes of L-bit prefixes and the L-step
     successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes, and for a
     set digit (s & 1, cls[succ[s]]) the (L + 1)-bit ones.  A round that
-    splits no class ends refinement: longer prefixes separate nothing more.
-    Returning drops the seed and round tables before the caller builds a
-    witness.
+    splits no class ends refinement: longer prefixes separate nothing more,
+    so the classes of the length before that round are those of the
+    horizon.  Returns the classes and that length (the horizon when every
+    round split a class).  Each strict refinement adds a class, so the
+    partition of the 2**(n+1) entries is stable from some length below
+    2**(n+1), and the returned length is below 2**(n+2).  Returning drops
+    the seed and round tables before the caller builds a witness.
     """
     n = spec_a.length
     size = 1 << n
@@ -671,7 +669,7 @@ def _prefix_classes(spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int) ->
     del pa, pb, ids  # the seed prefixes are numbered; drop them before the rounds
     jump += [size + t for t in jb]
     del jb
-    rest = digits[lead:]
+    length, rest = int(digits[:lead], 2), digits[lead:]
     out = succ = []  # the unit-step rounds' tables, built only when a digit needs them
     if "1" in rest:
         succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
@@ -679,12 +677,13 @@ def _prefix_classes(spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int) ->
     for bit in rest:
         for head, step in [(cls, jump)] + [(out, succ)] * (bit == "1"):
             ids = {}
-            cls = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
+            refined = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
             if len(ids) == count:
-                return cls
-            count = len(ids)
+                return cls, length
+            cls, count = refined, len(ids)
+            length = length + 1 if step is succ else 2 * length
             jump = [jump[t] for t in step]
-    return cls
+    return cls, length
 
 
 def check_equivalence_exhaustive(
@@ -698,9 +697,13 @@ def check_equivalence_exhaustive(
     L >= n of those bits (all of them, for a horizon below n) come from one
     sliced ``_walk`` of L cycles: states with equal L-bit prefixes are the
     very classes that refinement from single bits reaches at L, so only the
-    rest of the horizon is refined by doubling.  Memory is O(2**n).  Inputs
-    with 2**n * horizon above ``EXHAUSTIVE_MAX_COST`` are refused before
-    any table is built.
+    rest of the horizon is refined by doubling, and only until a round
+    splits nothing.  Memory is O(2**n) whatever the horizon.
+
+    An unequal verdict names the first state of ``spec_a`` whose class is
+    unbalanced, with its output prefix up to the length where the classes
+    stopped splitting: that prefix occurs a different number of times on
+    the two sides.  It is not necessarily the shortest such prefix.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -712,13 +715,8 @@ def check_equivalence_exhaustive(
     horizon = (1 << n) if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    if horizon << n > EXHAUSTIVE_MAX_COST:
-        raise ValueError(
-            f"exhaustive check too large: 2^{n} states x horizon {horizon} "
-            f"exceeds 2^32 prefix bits"
-        )
     size = 1 << n
-    cls = _prefix_classes(spec_a, spec_b, horizon)
+    cls, length = _prefix_classes(spec_a, spec_b, horizon)
     if sorted(cls[:size]) == sorted(cls[size:]):
         return ExhaustiveVerdict(True, size, horizon)
     # Both sides hold 2**n states, so some unbalanced class holds more of
@@ -727,11 +725,10 @@ def check_equivalence_exhaustive(
     state = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
     table = _walk(spec_a, 1)[1]
     prefix, s = [], state
-    for _ in range(horizon):
+    for _ in range(length):
         prefix.append(s & 1)
         s = table[s]
-    witness = PrefixCounterexample("a", state, tuple(prefix))
-    return ExhaustiveVerdict(False, size, horizon, witness)
+    return ExhaustiveVerdict(False, size, horizon, PrefixCounterexample(state, tuple(prefix)))
 
 
 def check_equivalence_mapped(
@@ -757,8 +754,9 @@ def check_equivalence_mapped(
     per call and are compared at block ends (see ``_mapped_degree``), the
     last partial block one cycle at a time; a slice stops early once its
     first trial diverges, and no later slice runs once one has diverged.
-    Only the lowest divergent trial is then replayed, alone and one cycle
-    at a time, to find its first divergent cycle, register and bit.
+    Only the lowest divergent trial is then replayed from its slice-start
+    words, alone and one cycle at a time on the same sliced kernel, to
+    find its first divergent cycle, register and bit.
 
     The conversion is deliberately the bare per-register formula, not
     ``map_system_state``: collapse equality is what the simulation tests,
@@ -819,10 +817,11 @@ def check_equivalence_mapped(
         count = min(_SLICE_TRIALS, trials - first)
         ones = (1 << count) - 1
         drawn = _random_bits(rng, count * width)
-        fib_words = [int(drawn[p::width][::-1].translate(_ASCII), 2) for p in range(width)]
-        gal_words: list[int] = []
+        fib_start = [int(drawn[p::width][::-1].translate(_ASCII), 2) for p in range(width)]
+        gal_start: list[int] = []
         for rid, off, n in zip(ids, offsets, lengths):
-            gal_words += mappers[rid](fib_words[off:off + n], ones)
+            gal_start += mappers[rid](fib_start[off:off + n], ones)
+        fib_words, gal_words = fib_start, gal_start
         # A trial that agrees at cycle c agrees at c+1..c+k iff it agrees
         # at c+k, so ``bad`` holds exactly the trials diverged so far.
         bad, cycle = diverged(fib_words, gal_words), 0
@@ -838,24 +837,20 @@ def check_equivalence_mapped(
         return MappedVerdict(True, trials, cycles)
 
     lowest = (bad & -bad).bit_length() - 1
-    bits = {
-        rid: drawn[lowest * width + off:lowest * width + off + n]
-        for rid, off, n in zip(ids, offsets, lengths)
-    }
-    fib_words = _words(SystemState.from_bits(fib_system, bits))
-    mapped = {rid: mappers[rid](bits[rid]) for rid in ids}
-    gal_words = _words(SystemState.from_bits(galois_system, mapped))
-    masks = [(1 << (terminals[rid] + 1)) - 1 for rid in ids]
+    fib_words = [w >> lowest & 1 for w in fib_start]
+    gal_words = [w >> lowest & 1 for w in gal_start]
+    fib_step, gal_step = fib_comp.sliced(no_modes, 1), gal_comp.sliced(no_modes, 1)
     for cycle in range(cycles):
-        for r, mask in enumerate(masks):
-            diff = (fib_words[r] ^ gal_words[r]) & mask
-            if diff:
-                bit = (diff & -diff).bit_length() - 1
-                point = DivergencePoint(first + lowest, ids[r], cycle, bit)
-                return MappedVerdict(False, trials, cycles, point)
-        fib_words = _advance(fib_comp, fib_words, no_modes)
-        gal_words = _advance(gal_comp, gal_words, no_modes)
-    raise AssertionError(f"trial {first + lowest} diverges bitsliced but not in unit steps")
+        if diverged(fib_words, gal_words):
+            # the first differing plane in layout order: lowest register, then bit
+            for rid, (a, b) in zip(ids, compared):
+                for p in range(a, b):
+                    if fib_words[p] != gal_words[p]:
+                        point = DivergencePoint(first + lowest, rid, cycle, p - a)
+                        return MappedVerdict(False, trials, cycles, point)
+        fib_words = fib_step(fib_words, 1)
+        gal_words = gal_step(gal_words, 1)
+    raise AssertionError(f"trial {first + lowest} diverges in its slice but not alone")
 
 
 def _random_bits(rng: random.Random, count: int) -> bytes:

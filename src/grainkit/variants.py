@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .anf import Term, Var, substitute_var, xor_merge
 from .engine import OutputSpec, SystemSpec
-from .specfile import SpecDocument, parse_spec
+from .specfile import parse_spec
 
 __all__ = ["VARIANT_NAMES", "REPAIR_MODES", "document", "build_system", "metadata"]
 
@@ -235,12 +235,11 @@ def _as_printed(name: str, system: SystemSpec) -> SystemSpec:
     return system
 
 
-def build_system(name: str, repair: str = "official") -> tuple[SpecDocument, SystemSpec]:
+def build_system(name: str, repair: str = "official") -> SystemSpec:
     """Parse one bundled document and apply the requested flavor."""
     if repair not in REPAIR_MODES:
         raise ValueError(f"unknown repair mode {repair!r}; expected one of {REPAIR_MODES}")
-    doc = parse_spec(document(name), source=name)
-    system = doc.system
+    system = parse_spec(document(name)).system
     if repair == "as-printed":
         system = _as_printed(name, system)
-    return doc, system
+    return system

@@ -9,7 +9,6 @@ from grainkit.anf import (
     MissingVariableError,
     Term,
     Var,
-    analyze,
     evaluate,
     parse_expr,
     parse_term,
@@ -84,25 +83,6 @@ def test_remap_delta_zero_is_identity():
 def test_remap_rejects_foreign_register():
     with pytest.raises(ForeignVariableError):
         remap_indices({parse_term("s[0]")}, "b", 1, 80)
-
-
-def test_analyze_grain80_feedback():
-    s = analyze(variant("grain80-fib").system.register("b").feedback[79])
-    assert s.term_count == 23
-    assert s.max_degree == 6
-    assert s.index_range["b"] == (0, 63)
-    assert s.index_range["s"] == (0, 0)
-
-
-def test_analyze_grain128_lfsr_feedback():
-    s = analyze(variant("grain128-fib").system.register("s").feedback[127])
-    assert s.term_count == 6
-    assert s.max_degree == 1
-
-
-def test_analyze_constant_zero():
-    s = analyze(Anf.zero())
-    assert (s.term_count, s.max_degree, dict(s.index_range)) == (0, 0, {})
 
 
 def test_substitute_var_merges_duplicates():

@@ -173,20 +173,48 @@ def test_verify_equivalence_exhaustive(tmp_path, capsys):
 
 
 def test_verify_equivalence_exhaustive_refuses_costly_inputs(tmp_path, capsys):
-    big = tmp_path / "big.fsr"
-    big.write_text("system big\nregister r 18\nfeedback r[17] = r[0] + r[3]*r[9]\n")
+    wide = tmp_path / "wide.fsr"
+    wide.write_text("system wide\nregister r 21\nfeedback r[20] = r[0] + r[3]*r[9]\n")
     rc, out, err = run_cli(
-        capsys, "verify", "equivalence", "--a", str(big), "--b", str(big), "--exhaustive",
+        capsys, "verify", "equivalence", "--a", str(wide), "--b", str(wide), "--exhaustive",
     )
     assert (rc, out) == (2, "")
-    assert err.startswith("error: exhaustive check too large: 2^18 states")
+    assert err.startswith("error: register too large for exhaustive checking (21 > 20 bits)")
     a = tmp_path / "small_fib.fsr"
     a.write_text(FIB4_DOC)
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, "verify", "equivalence", "--a", str(a), "--b", str(a), "--exhaustive",
-        "--horizon", str(1 << 30),
+        "--horizon", "0",
     )
-    assert rc == 2 and "too large" in err
+    assert (rc, out) == (2, "") and "horizon must be positive" in err
+
+
+def test_verify_equivalence_exhaustive_huge_horizon_gives_a_short_witness(tmp_path, capsys):
+    import time
+
+    a, c = tmp_path / "small_fib.fsr", tmp_path / "ring.fsr"
+    a.write_text(FIB4_DOC)
+    c.write_text("system ring\nregister r 4\nfeedback r[3] = r[0]\n")
+    start = time.perf_counter()
+    rc, out, _ = run_cli(
+        capsys, "verify", "equivalence", "--a", str(a), "--b", str(c), "--exhaustive",
+        "--horizon", str(1 << 64),
+    )
+    assert time.perf_counter() - start < 0.5
+    # the classes stop splitting at 8 bits, so the default horizon's witness is the same
+    assert (rc, out) == (1, "unequal: initial state 3, prefix 11001101\n")
+    assert run_cli(
+        capsys, "verify", "equivalence", "--a", str(a), "--b", str(c), "--exhaustive",
+    )[:2] == (rc, out)
+
+
+def test_verify_equivalence_exhaustive_runs_a_17_bit_pair(tmp_path, capsys):
+    reg = tmp_path / "r17.fsr"
+    reg.write_text("system r17\nregister r 17\nfeedback r[16] = r[0] + r[3]*r[9] + r[5]\n")
+    rc, out, err = run_cli(
+        capsys, "verify", "equivalence", "--a", str(reg), "--b", str(reg), "--exhaustive",
+    )
+    assert (rc, out, err) == (0, "equal: 131072 states, prefixes of length 131072\n", "")
 
 
 def test_verify_equivalence_mapped_requires_seed(capsys):

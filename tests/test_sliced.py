@@ -163,6 +163,19 @@ def test_one_cycle_check_compiles_no_kernel():
     assert fib._compiled._kernels == {} == gal._compiled._kernels
 
 
+def test_divergent_trial_is_replayed_on_the_sliced_kernel():
+    v = variant("grain128-galois-1", "as-printed")
+    fib, gal = (
+        SystemSpec(s.registers, s.outputs, s.injections, s.params)
+        for s in (v.fib_variant().system, v.system)
+    )
+    verdict = check_equivalence_mapped(fib, gal, 100, 1000, 1)
+    kernels = [key for s in (fib, gal) for key in s._compiled._kernels]
+    assert kernels and all(key[0] == "sliced" for key in kernels), kernels
+    assert not verdict.equal
+    assert verdict == reference_check(fib, gal, 100, 1000, 1)
+
+
 def _slice(comp, states):
     """One word per register bit, instance t in bit t, from packed per-instance words."""
     return [

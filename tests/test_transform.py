@@ -430,6 +430,51 @@ def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
 # ---------------------------------------------------------- equivalence checks
 
 
+def _checked_lengths(n: int, horizon: int) -> list[int]:
+    """Prefix lengths that refinement classes, in order: the seeded walk's, then each round's."""
+    rest = _refined_digits(n, horizon)
+    lengths = [horizon >> len(rest)]
+    for bit in rest:
+        lengths.append(2 * lengths[-1])
+        if bit == "1":
+            lengths.append(lengths[-1] + 1)
+    return lengths
+
+
+def _assert_witness(ce, n: int, horizon: int, px: list, py: list) -> None:
+    """Check an unequal verdict's witness against brute-force prefixes of both sides.
+
+    ``px`` and ``py`` hold every state's first min(horizon, 2**(n+2)) output
+    bits or more.  Refinement over the 2**(n+1) states of both sides is
+    stable from 2**(n+1) - 1 bits (Moore), so those prefixes class the
+    states as the horizon does.  The witness state is the first state, side
+    a before side b, whose prefix occurs a different number of times on the
+    two sides, and it lies on side a.  Its prefix is that state's prefix cut
+    where the classes stopped splitting: at the first checked length whose
+    next checked length has no more distinct prefixes over both sides (the
+    horizon when there is none), and the cut prefix's counts differ too.
+    """
+    longest = min(horizon, 4 << n)
+    px, py = [p[:longest] for p in px], [p[:longest] for p in py]
+    assert {len(p) for p in px + py} == {longest}
+    cx, cy = Counter(px), Counter(py)
+    side, state, prefix = next(
+        (side, state, p)
+        for side, prefixes in (("a", px), ("b", py))
+        for state, p in enumerate(prefixes)
+        if cx[p] != cy[p]
+    )
+    assert side == "a"
+    lengths = _checked_lengths(n, horizon)
+    classes = [len({p[:m] for p in px + py}) for m in lengths]  # p[:m] is p past longest
+    stop = next((i for i in range(len(lengths) - 1) if classes[i] == classes[i + 1]), None)
+    length = horizon if stop is None else lengths[stop]
+    assert length <= longest
+    assert (ce.state, ce.prefix) == (state, prefix[:length])
+    cut = Counter(p[:length] for p in px), Counter(p[:length] for p in py)
+    assert cut[0][ce.prefix] != cut[1][ce.prefix]
+
+
 def test_exhaustive_four_bit_pair_is_equal():
     verdict = check_equivalence_exhaustive(fib4(), gal4())
     assert verdict.equal and verdict.states == 16 and verdict.horizon == 16
@@ -438,9 +483,9 @@ def test_exhaustive_four_bit_pair_is_equal():
 def test_exhaustive_detects_inequivalence():
     ring = RegisterSpec("r", 4, {3: parse_expr("r[0]")})
     verdict = check_equivalence_exhaustive(fib4(), ring)
-    assert not verdict.equal
-    assert verdict.counterexample is not None
-    assert len(verdict.counterexample.prefix) == 16
+    assert not verdict.equal and verdict.horizon == 16
+    _assert_witness(verdict.counterexample, 4, 16, _walked_prefixes(fib4(), 16),
+                    _walked_prefixes(ring, 16))
 
 
 def test_exhaustive_self_equality():
@@ -459,16 +504,27 @@ def test_exhaustive_validations():
         )
 
 
-def test_exhaustive_cost_gate_refuses_an_18_bit_pair_instantly():
+def test_exhaustive_bit_limit_alone_gates_the_check():
     import time
 
-    big = RegisterSpec("r", 18, {17: parse_expr("r[0] + r[3]*r[9]")})
+    wide = RegisterSpec("r", 21, {20: parse_expr("r[0] + r[3]*r[9]")})
     start = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
-        check_equivalence_exhaustive(big, big)
+        check_equivalence_exhaustive(wide, wide)
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            check_equivalence_exhaustive(fib4(), fib4(), horizon)
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(ValueError, match="too large"):
-        check_equivalence_exhaustive(fib4(), fib4(), horizon=(1 << 28) + 1)
+    # the horizon no longer sizes the work or the witness
+    ring = RegisterSpec("r", 4, {3: parse_expr("r[0]")})
+    walked = _walked_prefixes(fib4(), 64), _walked_prefixes(ring, 64)
+    for horizon in ((1 << 28) + 1, 1 << 64):
+        start = time.perf_counter()
+        assert check_equivalence_exhaustive(fib4(), gal4(), horizon).equal
+        verdict = check_equivalence_exhaustive(fib4(), ring, horizon)
+        assert time.perf_counter() - start < 0.5
+        assert not verdict.equal and verdict.horizon == horizon
+        _assert_witness(verdict.counterexample, 4, horizon, *walked)
 
 
 def test_mapped_equivalence_grain80(rng):
@@ -705,16 +761,7 @@ def test_exhaustive_refinement_matches_brute_force_prefix_counts():
                 if verdict.equal:
                     continue
                 unequal += 1
-                # the witness is the first side-a, then side-b state whose
-                # prefix occurs a different number of times on the two sides
-                witness = next(
-                    (side, state, prefix)
-                    for side, prefixes in (("a", px), ("b", py))
-                    for state, prefix in enumerate(prefixes)
-                    if cx[prefix] != cy[prefix]
-                )
-                ce = verdict.counterexample
-                assert (ce.side, ce.state, ce.prefix) == witness
+                _assert_witness(verdict.counterexample, n, horizon or 1 << n, px, py)
     assert unequal >= 20
 
 
@@ -809,14 +856,7 @@ def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
                 if verdict.equal:
                     continue
                 unequal += 1
-                witness = next(
-                    (side, state, prefix)
-                    for side, prefixes in (("a", px), ("b", py))
-                    for state, prefix in enumerate(prefixes)
-                    if cx[prefix] != cy[prefix]
-                )
-                ce = verdict.counterexample
-                assert (ce.side, ce.state, ce.prefix) == witness, (x, y, horizon)
+                _assert_witness(verdict.counterexample, n, horizon, px, py)
     assert min(paths.values()) >= 10 and len(paths) == 4, paths
     assert unequal >= 50, unequal
 
