@@ -75,7 +75,7 @@ from .transform import (
     check_uniform,
     collapse_to_fibonacci,
     format_shift_script,
-    map_initial_state,
+    map_system_state,
     max_hw_parallel_degree,
     min_terminal_bit,
     parse_shift_script,

@@ -111,22 +111,19 @@ def _cmd_transform(args) -> int:
     reg = _pick_register(system, args.register)
     if args.script:
         script = transform.parse_shift_script(_read(args.script))
-        result = transform.check_script(reg, script, system=system)
-        for note in result.warnings:
-            print(f"warning: {note}", file=sys.stderr)
-        if not result.ok:
-            print(f"script rejected: {result.reason}", file=sys.stderr)
-            return FAIL
-        new_reg = result.spec
     else:
         terminal = args.terminal
         if terminal is None:
             terminal = transform.required_terminal_bit(system, reg.id)
-        dist = transform.auto_distribute(reg, terminal, args.k)
-        for term in dist.stranded:
-            print(f"warning: term {term} left at the top bit", file=sys.stderr)
-        new_reg = dist.spec
-    out_system = system.replace_register(new_reg)
+        script = transform.auto_distribute(reg, terminal, args.k).script
+    # one gate for both: every move must keep the register uniform
+    result = transform.check_script(reg, script, system=system)
+    for note in result.warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    if not result.ok:
+        print(f"script rejected: {result.reason}", file=sys.stderr)
+        return FAIL
+    out_system = system.replace_register(result.spec)
     text = format_spec(out_system, name=args.name or "transformed")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -109,6 +109,10 @@ class RegisterSpec:
     def shift_var(self, bit: int) -> Var:
         return Var(self.id, (bit + 1) % self.length)
 
+    def tail(self, bit: int) -> Anf:
+        """``g`` in the shift-plus-tail form ``f_bit = x[(bit + 1) mod n] ^ g``."""
+        return xor_merge(self.expr(bit), {Term(frozenset({self.shift_var(bit)}))})
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -289,11 +293,6 @@ class SystemState:
         return tuple((rid, length) for rid, length, _ in self.regs)
 
 
-def _tail(reg: RegisterSpec, bit: int) -> Anf:
-    """``g`` in the shift-plus-tail form ``f_bit = x[(bit + 1) mod n] ^ g``."""
-    return xor_merge(reg.feedback[bit], {Term(frozenset({reg.shift_var(bit)}))})
-
-
 # Lane-kernel nodes: ("t", r, v) is the lane word of tap v of register r,
 # ("g", r, j) the window of bit j of register r (its tail plus injections),
 # ("o", i, 0) the lane word of output i.
@@ -342,7 +341,7 @@ class _CompiledSystem:
         self.index = {r.id: i for i, r in enumerate(spec.registers)}
         self.signature = tuple((r.id, r.length) for r in spec.registers)
         self.tails = {
-            (i, bit): _tail(r, bit)
+            (i, bit): r.tail(bit)
             for i, r in enumerate(spec.registers)
             for bit in sorted(r.feedback)
         }

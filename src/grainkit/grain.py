@@ -9,10 +9,11 @@ keystream.
 Galois configurations support two initialization modes.  ``native``
 clocks the variant's own system through the init phase.  ``equivalence``
 instead initializes the Fibonacci sibling and converts the resulting
-register contents with the initial-state mapping, which provably
-reproduces the sibling's keystream bit for bit.  The two modes disagree
-on Galois variants; this library verifies the equivalence-mode claim and
-leaves native mode as a deterministic behavior of its own.
+state with ``transform.map_system_state``, the one state-mapping
+routine, which provably reproduces the sibling's keystream bit for bit.
+The two modes disagree on Galois variants; this library verifies the
+equivalence-mode claim and leaves native mode as a deterministic
+behavior of its own.
 """
 
 from __future__ import annotations
@@ -100,21 +101,22 @@ _cache: dict[tuple[str, str], GrainVariant] = {}
 
 
 def variant(name: str, repair: str = "official") -> GrainVariant:
-    """Look up one of the bundled cipher configurations."""
+    """Look up one of the bundled cipher configurations.
+
+    ``init_cycles`` is the document's ``param init_cycles``.
+    """
     key = (name, repair)
     if key not in _cache:
         if name not in VARIANT_NAMES:
             raise UnknownVariantError(name)
-        key_bits, iv_bits, init_cycles, degree, sibling, b_terminal = (
-            _variants.metadata(name)
-        )
+        key_bits, iv_bits, degree, sibling, b_terminal = _variants.metadata(name)
         system = _variants.build_system(name, repair)
         _cache[key] = GrainVariant(
             name=name,
             system=system,
             key_bits=key_bits,
             iv_bits=iv_bits,
-            init_cycles=init_cycles,
+            init_cycles=system.params["init_cycles"],
             parallel_degree=degree,
             repair=repair,
             fib_sibling=sibling,

@@ -10,9 +10,16 @@ logic above the terminal bit reaches past the terminal bit.
 
 This module implements the shifting machinery, the uniformity and
 terminal-bit arithmetic, parallelization constraints, a greedy automatic
-distributor, the inverse collapse, initial-state mapping between
-equivalent configurations, and two equivalence checkers (exact partition
+distributor, the inverse collapse, the initial-state mapping between
+equivalent systems, and two equivalence checkers (exact partition
 refinement for small registers, seeded-random mapped simulation at scale).
+
+Every correspondence between the forms starts from one split,
+``RegisterSpec.tail``: ``f_j = x[j+1] ^ g_j`` (Dubrova 2009).  Uniformity
+reads the shift variable in g_j; the collapse and its diagnostics lift
+every g_j to the top bit in one walk; and ``map_system_state``, the one
+state-mapping routine, and the mapped check share one formula over the
+whole system layout.
 
 The exact checker takes the first L >= n bits of every state's output
 prefix from one bitsliced walk of L cycles over all states.  Equal L-bit
@@ -61,7 +68,6 @@ __all__ = [
     "max_hw_parallel_degree",
     "auto_distribute",
     "collapse_to_fibonacci",
-    "map_initial_state",
     "map_system_state",
     "check_equivalence_exhaustive",
     "check_equivalence_mapped",
@@ -119,7 +125,6 @@ class ScriptResult:
 class Distribution:
     spec: RegisterSpec
     script: tuple[ShiftMove, ...]
-    stranded: tuple[Term, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -152,25 +157,15 @@ class DivergencePoint:
     bit: int
 
 
-def _split_singular(spec: RegisterSpec, bit: int) -> tuple[Anf | None, Anf]:
-    """Split f_bit into (shift part, remainder g) when singular, else (None, f)."""
-    expr = spec.expr(bit)
-    shift_term = Term(frozenset({spec.shift_var(bit)}))
-    if shift_term not in expr.terms:
-        return None, expr
-    g = Anf(expr.terms - {shift_term}, expr.const)
-    if spec.shift_var(bit) in g.support():
-        return None, expr
-    return Anf(frozenset({shift_term})), g
-
-
 def feedback_tail(spec: RegisterSpec, bit: int) -> Anf:
-    """The non-shift part of a singular feedback function.
+    """``spec.tail(bit)`` of a singular feedback function.
 
-    Raises ValueError when the bit's feedback is not singular.
+    The feedback is singular when its tail avoids the shift variable
+    (which also means it holds the shift term); otherwise this raises
+    ValueError.
     """
-    shift, g = _split_singular(spec, bit)
-    if shift is None:
+    g = spec.tail(bit)
+    if spec.shift_var(bit) in g.support():
         raise ValueError(f"feedback of bit {bit} of {spec.id!r} is not singular")
     return g
 
@@ -229,28 +224,19 @@ def check_uniform(spec: RegisterSpec, terminal: int | None = None) -> Uniformity
         )
     violations: list[Violation] = []
     for bit in spec.explicit_bits():
-        shift, g = _split_singular(spec, bit)
-        if shift is None:
-            shift_var = spec.shift_var(bit)
-            expr = spec.expr(bit)
-            if Term(frozenset({shift_var})) not in expr.terms:
-                violations.append(
-                    Violation(
-                        bit,
-                        "non-singular",
-                        f"feedback lacks the shift term {shift_var}",
-                    )
+        g, shift_var = spec.tail(bit), spec.shift_var(bit)
+        if Term(frozenset({shift_var})) in g.terms:
+            # the split XORed the shift term in: the feedback lacked it
+            violations.append(
+                Violation(bit, "non-singular", f"feedback lacks the shift term {shift_var}")
+            )
+        elif shift_var in g.support():
+            violations.append(
+                Violation(
+                    bit, "depends-on-successor", f"logic besides the shift uses {shift_var}"
                 )
-            else:
-                violations.append(
-                    Violation(
-                        bit,
-                        "depends-on-successor",
-                        f"logic besides the shift uses {shift_var}",
-                    )
-                )
-            continue
-        if bit > t:
+            )
+        elif bit > t:
             bad = sorted(
                 {v.idx for v in g.support() if v.reg == spec.id and v.idx > t}
             )
@@ -378,8 +364,10 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
 
     Terms are placed in descending cost order onto the feasible position
     whose accumulated cost is lowest, ties broken toward the higher bit.
-    Terms of other registers never move; own terms with no feasible
-    position stay at the top bit and are reported as stranded.
+    Terms of other registers never move.  A term that fits no position
+    raises the terminal to its highest own index, where the top bit fits
+    it, and every term is placed again; at terminal n - 1 the top bit fits
+    every term, so this ends.
     """
     n = spec.length
     if terminal < min_terminal_bit(spec.expr(n - 1), spec.id):
@@ -387,30 +375,37 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
             f"terminal {terminal} is below the spread bound "
             f"{min_terminal_bit(spec.expr(n - 1), spec.id)}"
         )
-    positions = allowed_feedback_positions(n, terminal, k)
     top = n - 1
     g = feedback_tail(spec, top)
 
     movable: list[Term] = []
-    load = {p: 0.0 for p in positions}
+    fixed = 0.0
     for term in sorted(g.terms, key=term_sort_key):
         if term.registers() == {spec.id}:
             movable.append(term)
         else:
-            load[top] += _default_term_cost(term)  # foreign terms stay and weigh the top bit
+            fixed += _default_term_cost(term)  # foreign terms stay and weigh the top bit
+            # the own indices a term keeps at the top bit bound the terminal
+            terminal = max([terminal] + [v.idx for v in term.vars if v.reg == spec.id])
+    movable.sort(key=lambda t: (-_default_term_cost(t), term_sort_key(t)))
 
-    stranded: list[Term] = []
-    dests: dict[Term, int] = {}
-    for term in sorted(movable, key=lambda t: (-_default_term_cost(t), term_sort_key(t))):
-        own = [v.idx for v in term.vars]
-        lo, hi = min(own), max(own)
-        feasible = [p for p in positions if (n - 1 - p) <= lo and hi - (n - 1 - p) <= terminal]
-        if not feasible:
-            stranded.append(term)
-            continue
-        best = min(feasible, key=lambda p: (load[p], -p))
-        load[best] += _default_term_cost(term)
-        dests[term] = best
+    while True:
+        positions = allowed_feedback_positions(n, terminal, k)
+        load = {p: 0.0 for p in positions}
+        load[top] += fixed
+        dests: dict[Term, int] = {}
+        for term in movable:
+            own = [v.idx for v in term.vars]
+            lo, hi = min(own), max(own)
+            feasible = [p for p in positions if (top - p) <= lo and hi - (top - p) <= terminal]
+            if not feasible:
+                terminal = hi  # above the old terminal, since the top bit did not fit
+                break
+            best = min(feasible, key=lambda p: (load[p], -p))
+            load[best] += _default_term_cost(term)
+            dests[term] = best
+        else:
+            break
 
     script = tuple(
         ShiftMove(spec.id, top, dests[term], frozenset({term}))
@@ -420,102 +415,100 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     final = spec
     for move in script:
         final = apply_shift(final, move)
-    return Distribution(final, script, tuple(stranded))
+    return Distribution(final, script)
+
+
+def _lift(spec: RegisterSpec) -> tuple[dict[Term, list[int]], int]:
+    """Every tail's terms moved to the top bit, with the bits each comes from.
+
+    The tail of bit i is remapped by (n-1) - i, the shift that undoes
+    moving it down from the top bit, and must be singular below the top.
+    Returns the lifted terms, each with its source bits in ascending
+    order, and the XOR of the tails' constants.
+    """
+    n = spec.length
+    top = n - 1
+    sources: dict[Term, list[int]] = {}
+    const = 0
+    for bit in spec.explicit_bits():
+        g = spec.tail(bit) if bit == top else feedback_tail(spec, bit)
+        terms = g.terms if bit == top else remap_indices(g.terms, spec.id, top - bit, n)
+        for term in terms:
+            sources.setdefault(term, []).append(bit)
+        const ^= g.const
+    return sources, const
 
 
 def collapse_to_fibonacci(spec: RegisterSpec) -> RegisterSpec:
     """Undo all shifting: fold every lower bit's logic back into the top bit.
 
-    Terms of bit i are remapped by (n-1) - i and XOR-merged into the top
-    feedback; duplicated terms cancel, which is exactly what exposes an
-    over-shifted configuration.
+    The top bit becomes its shift term XOR every lifted tail term (see
+    ``_lift``) and the tails' constants.  A term lifted from an even
+    number of bits cancels, which is exactly what exposes an over-shifted
+    configuration.
     """
-    n = spec.length
-    top = n - 1
-    top_expr = spec.expr(top)
-    merged = set(top_expr.terms)
-    const = top_expr.const
-    for bit in spec.explicit_bits():
-        if bit == top:
-            continue
-        g = feedback_tail(spec, bit)
-        own = frozenset(t for t in g.terms)
-        lifted = remap_indices(own, spec.id, top - bit, n)
-        merged ^= lifted
-        const ^= g.const
-    return RegisterSpec(spec.id, n, {top: Anf(frozenset(merged), const)})
+    top = spec.length - 1
+    sources, const = _lift(spec)
+    merged = {t for t, bits in sources.items() if len(bits) % 2}
+    merged ^= {Term(frozenset({spec.shift_var(top)}))}
+    return RegisterSpec(spec.id, spec.length, {top: Anf(frozenset(merged), const)})
 
 
 def unshift_sources(spec: RegisterSpec) -> dict[Term, tuple[int, ...]]:
     """Map each collapsed term to the bits it unshifts from (diagnostics)."""
-    n = spec.length
-    top = n - 1
-    sources: dict[Term, list[int]] = {}
-    for bit in spec.explicit_bits():
-        g = spec.expr(bit) if bit == top else feedback_tail(spec, bit)
-        if bit == top:
-            shift_term = Term(frozenset({spec.shift_var(bit)}))
-            terms = g.terms - {shift_term}
-        else:
-            terms = g.terms
-        for term in terms:
-            if term.registers() != {spec.id}:
-                lifted = term
-            else:
-                (lifted,) = remap_indices({term}, spec.id, top - bit, n)
-            sources.setdefault(lifted, []).append(bit)
-    return {t: tuple(sorted(bits)) for t, bits in sources.items()}
+    return {t: tuple(bits) for t, bits in _lift(spec)[0].items()}
 
 
-def _state_mapper(galois: RegisterSpec) -> Callable[..., tuple[int, ...]]:
+def _state_mapper(galois: SystemSpec) -> Callable[..., list[int]]:
     """The state-conversion formula alone, without the collapse check.
 
-    Prepared once per register, it maps any number of states: bit
-    i > terminal absorbs every tail g_j (terminal <= j < i) read
-    i - 1 - j cycles on, and each product is a tuple of state indices,
-    so mapping a state evaluates no expression.  Given an all-ones mask
-    ``ones``, it maps many states at once: one word per bit, one state
-    per bit of ``ones``, and a constant sets every state's bit.
+    Prepared once per system, it maps any number of states of the whole
+    layout, one entry per bit in system register order: in each register,
+    bit i > terminal absorbs every tail g_j (terminal <= j < i) read
+    i - 1 - j cycles on, and each product is a tuple of layout indices, so
+    mapping a state evaluates no expression.  Given an all-ones mask
+    ``ones``, it maps many states at once: one word per bit, one state per
+    bit of ``ones``, and a constant sets every state's bit.  Registers are
+    checked in system order, so the first one the formula refuses raises.
     """
-    n = galois.length
-    report = check_uniform(galois)
-    if not report.uniform:
-        v = report.violations[0]
-        raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
-    t = terminal_bit(galois)
-    tails: dict[int, Anf] = {}
-    for bit in galois.explicit_bits():
-        if t <= bit <= n - 2:
-            g = feedback_tail(galois, bit)
-            for v in g.support():
-                if v.reg != galois.id:
-                    raise ForeignVariableError(
-                        f"bit {bit} mixes in {v}; only the top bit may use other registers"
-                    )
-            tails[bit] = g
-
-    indexed = {
-        j: (
-            g.const,
-            [tuple(v.idx for v in term.sorted_vars()) for term in g.sorted_terms()],
-            max(v.idx for v in g.support()) if g.terms else -1,
-        )
-        for j, g in tails.items()
-    }
     fixups: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
-    for i in range(t + 1, n):
-        const, products = 0, []
-        for j, (g_const, g_products, g_top) in indexed.items():
-            if j >= i:
-                continue
-            lag = i - 1 - j
-            if g_top + lag >= n:
-                raise ValueError(f"bit {j} reaches past the register after {lag} cycles")
-            const ^= g_const
-            products += [tuple(idx + lag for idx in product) for product in g_products]
-        fixups.append((i, const, tuple(products)))
+    offset = 0
+    for reg in galois.registers:
+        n = reg.length
+        report = check_uniform(reg)
+        if not report.uniform:
+            v = report.violations[0]
+            raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
+        t = terminal_bit(reg)
+        indexed = {}
+        for bit in reg.explicit_bits():
+            if t <= bit <= n - 2:
+                g = reg.tail(bit)
+                for v in g.support():
+                    if v.reg != reg.id:
+                        raise ForeignVariableError(
+                            f"bit {bit} mixes in {v}; only the top bit may use other registers"
+                        )
+                indexed[bit] = (
+                    g.const,
+                    [tuple(v.idx for v in term.sorted_vars()) for term in g.sorted_terms()],
+                    max(v.idx for v in g.support()) if g.terms else -1,
+                )
+        for i in range(t + 1, n):
+            const, products = 0, []
+            for j, (g_const, g_products, g_top) in indexed.items():
+                if j >= i:
+                    continue
+                lag = i - 1 - j
+                if g_top + lag >= n:
+                    raise ValueError(f"bit {j} reaches past the register after {lag} cycles")
+                const ^= g_const
+                shift = offset + lag  # layout index of bit idx, lag cycles on
+                products += [tuple(shift + idx for idx in product) for product in g_products]
+            fixups.append((offset + i, const, tuple(products)))
+        offset += n
 
-    def mapped(state: Sequence[int], ones: int = 1) -> tuple[int, ...]:
+    def mapped(state: Sequence[int], ones: int = 1) -> list[int]:
         bits = [int(b) & ones for b in state]
         out = list(bits)
         for i, const, products in fixups:
@@ -526,44 +519,41 @@ def _state_mapper(galois: RegisterSpec) -> Callable[..., tuple[int, ...]]:
                     value &= bits[idx]
                 acc ^= value
             out[i] ^= acc
-        return tuple(out)
+        return out
 
     return mapped
-
-
-def map_initial_state(
-    fib: RegisterSpec, galois: RegisterSpec, state: Sequence[int]
-) -> tuple[int, ...]:
-    """State of the Galois register that replays a Fibonacci run bit for bit.
-
-    Bits up to the terminal bit copy over unchanged; each higher bit
-    absorbs the feedback contributions the Galois register would have
-    mixed in on the way to producing the same output window.  The target
-    must be uniform, collapse back to the given source, and keep foreign
-    variables out of every bit below the top.
-    """
-    if galois.length != fib.length:
-        raise ValueError("register lengths differ")
-    if len(state) != galois.length:
-        raise ValueError(f"state must have {galois.length} bits, got {len(state)}")
-    out = _state_mapper(galois)(state)
-    if collapse_to_fibonacci(galois) != fib:
-        raise ValueError("target register does not collapse to the source register")
-    return out
 
 
 def map_system_state(
     fib_system: SystemSpec, galois_system: SystemSpec, state: SystemState
 ) -> SystemState:
-    """Map every register with ``map_initial_state``, keeping the cycle count.
+    """State of the Galois system that replays a Fibonacci run bit for bit.
 
-    Registers map in system order, so the first one that fails raises.
+    In every register, bits up to the terminal bit copy over unchanged;
+    each higher bit absorbs the feedback contributions the Galois register
+    would have mixed in on the way to producing the same output window.
+    Both systems must declare the same registers in the same order, and
+    every target register must be uniform, keep foreign variables out of
+    every bit below the top and collapse back to its source register.
+    The cycle count is kept.
     """
-    mapped = {
-        r.id: map_initial_state(fib_system.register(r.id), r, state.bits(r.id))
-        for r in galois_system.registers
-    }
-    return SystemState.from_bits(galois_system, mapped, cycle=state.cycle)
+    signature = tuple((r.id, r.length) for r in fib_system.registers)
+    if tuple((r.id, r.length) for r in galois_system.registers) != signature:
+        raise ValueError("systems declare different registers")
+    if state.signature() != signature:
+        raise ValueError("state does not conform to the source system")
+    mapper = _state_mapper(galois_system)
+    for reg in galois_system.registers:
+        if collapse_to_fibonacci(reg) != fib_system.register(reg.id):
+            raise ValueError(
+                f"target register {reg.id!r} does not collapse to the source register"
+            )
+    bits = mapper([(w >> i) & 1 for _, n, w in state.regs for i in range(n)])
+    words, offset = [], 0
+    for rid, n, _ in state.regs:
+        words.append((rid, n, sum(b << i for i, b in enumerate(bits[offset:offset + n]))))
+        offset += n
+    return SystemState(tuple(words), state.cycle)
 
 
 def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
@@ -740,8 +730,8 @@ def check_equivalence_mapped(
 ) -> MappedVerdict:
     """Seeded-random full-scale equivalence check between two systems.
 
-    Each trial is a random state of the first system, converted register
-    by register into the second; both run with no modes active and every
+    Each trial is a random state of the first system, converted into the
+    second by the state-mapping formula; both run with no modes active and every
     register's bits 0..terminal must agree cycle for cycle.  The verdict
     is unequal when any trial diverges, and it reports the first
     divergence of the lowest-numbered such trial.
@@ -749,8 +739,8 @@ def check_equivalence_mapped(
     Trials run bitsliced, up to ``_SLICE_TRIALS`` at once and in order:
     one word per register bit, trial t in bit t of every word.  The draw
     is ``_random_bits``, equal bit for bit to ``rng.randrange(2)`` per bit
-    in trial, register, bit order, and one call of each register's
-    mapping formula maps a whole slice.  Both systems advance k cycles
+    in trial, register, bit order, and one call of the system's mapping
+    formula maps a whole slice.  Both systems advance k cycles
     per call and are compared at block ends (see ``_mapped_degree``), the
     last partial block one cycle at a time; a slice stops early once its
     first trial diverges, and no later slice runs once one has diverged.
@@ -758,7 +748,7 @@ def check_equivalence_mapped(
     words, alone and one cycle at a time on the same sliced kernel, to
     find its first divergent cycle, register and bit.
 
-    The conversion is deliberately the bare per-register formula, not
+    The conversion is deliberately the bare formula, not
     ``map_system_state``: collapse equality is what the simulation tests,
     so it is not demanded up front, and a corrupted register surfaces as
     an unequal verdict with its divergence point, not as an error.
@@ -787,16 +777,16 @@ def check_equivalence_mapped(
     k = _mapped_degree(fib_system, galois_system, terminals)
     # Prepared once per check; a register the formula refuses raises
     # before anything is drawn, as it always has.
-    mappers = {rid: _state_mapper(galois_system.register(rid)) for rid in ids} if trials else {}
+    mapper = _state_mapper(galois_system) if trials else None
     if not cycles:
         return MappedVerdict(True, trials, cycles)
 
     # Both systems declare the same registers in the same order, so they
     # share one layout: the bits of ids[0], then of ids[1], and so on.
-    lengths = [fib_system.register(rid).length for rid in ids]
-    offsets = [sum(lengths[:r]) for r in range(len(ids))]
-    compared = [(off, off + terminals[rid] + 1) for off, rid in zip(offsets, ids)]
-    width = sum(lengths)
+    compared, width = [], 0
+    for reg in galois_system.registers:
+        compared.append((width, width + terminals[reg.id] + 1))
+        width += reg.length
 
     def diverged(fib_words, gal_words) -> int:
         # Equal slices, the usual case, are settled by one list compare.
@@ -818,9 +808,7 @@ def check_equivalence_mapped(
         ones = (1 << count) - 1
         drawn = _random_bits(rng, count * width)
         fib_start = [int(drawn[p::width][::-1].translate(_ASCII), 2) for p in range(width)]
-        gal_start: list[int] = []
-        for rid, off, n in zip(ids, offsets, lengths):
-            gal_start += mappers[rid](fib_start[off:off + n], ones)
+        gal_start = mapper(fib_start, ones)
         fib_words, gal_words = fib_start, gal_start
         # A trial that agrees at cycle c agrees at c+1..c+k iff it agrees
         # at c+k, so ``bad`` holds exactly the trials diverged so far.

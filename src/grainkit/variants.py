@@ -187,18 +187,18 @@ _DOCS = {
 
 VARIANT_NAMES = tuple(_DOCS)
 
-# name -> (key_bits, iv_bits, init_cycles, parallel degree, fib sibling,
-#          declared NLFSR terminal bit)
+# name -> (key_bits, iv_bits, parallel degree, fib sibling, declared NLFSR
+#          terminal bit); init_cycles is a parameter of each document
 _META = {
-    "grain80-fib": (80, 64, 160, 1, "grain80-fib", 79),
-    "grain80-galois-1": (80, 64, 160, 1, "grain80-fib", 63),
-    "grain80-galois-4": (80, 64, 160, 4, "grain80-fib", 63),
-    "grain80-galois-8": (80, 64, 160, 8, "grain80-fib", 63),
-    "grain128-fib": (128, 96, 256, 1, "grain128-fib", 127),
-    "grain128-galois-1": (128, 96, 256, 1, "grain128-fib", 95),
-    "grain128-galois-4": (128, 96, 256, 4, "grain128-fib", 95),
-    "grain128-galois-8": (128, 96, 256, 8, "grain128-fib", 95),
-    "grain128-galois-16": (128, 96, 256, 16, "grain128-fib", 95),
+    "grain80-fib": (80, 64, 1, "grain80-fib", 79),
+    "grain80-galois-1": (80, 64, 1, "grain80-fib", 63),
+    "grain80-galois-4": (80, 64, 4, "grain80-fib", 63),
+    "grain80-galois-8": (80, 64, 8, "grain80-fib", 63),
+    "grain128-fib": (128, 96, 1, "grain128-fib", 127),
+    "grain128-galois-1": (128, 96, 1, "grain128-fib", 95),
+    "grain128-galois-4": (128, 96, 4, "grain128-fib", 95),
+    "grain128-galois-8": (128, 96, 8, "grain128-fib", 95),
+    "grain128-galois-16": (128, 96, 16, "grain128-fib", 95),
 }
 
 
@@ -210,7 +210,7 @@ def document(name: str) -> str:
         raise KeyError(f"unknown variant {name!r}") from None
 
 
-def metadata(name: str) -> tuple[int, int, int, int, str, int]:
+def metadata(name: str) -> tuple[int, int, int, str, int]:
     try:
         return _META[name]
     except KeyError:

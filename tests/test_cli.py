@@ -14,6 +14,8 @@ from grainkit import (
     variant,
 )
 from grainkit.cli import main
+from grainkit.specfile import parse_spec
+from grainkit.transform import check_equivalence_mapped, check_uniform
 
 GRAIN80_ZERO_KS = "dee931cf1662a72f77d02b6b6188a8f6"
 
@@ -134,8 +136,21 @@ def test_verify_collapse_as_printed_diagnoses_duplicate(capsys):
         "--tap-repair", "as-printed",
     )
     assert rc == 1
-    assert "b[67]*b[3]" in out
-    assert "bit 124" in out and "bit 127" in out
+    assert out.splitlines() == [
+        "grain128-galois-1/b: term b[67]*b[3] unshifts from bit 124 and bit 127; "
+        "the duplicate cancels out of the collapse",
+        "grain128-galois-1/s: collapse matches grain128-fib",
+    ]
+
+
+def test_keystream_refusal_names_the_register_that_does_not_collapse(capsys):
+    rc, out, err = run_cli(
+        capsys,
+        "keystream", "--variant", "grain128-galois-1", "--tap-repair", "as-printed",
+        "--key", "0" * 32, "--iv", "0" * 24, "--bits", "8",
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: target register 'b' does not collapse to the source register\n"
 
 
 def test_verify_uniform(capsys):
@@ -306,6 +321,59 @@ def test_transform_auto_roundtrip(tmp_path, capsys):
     assert rc == 0, err
     rc, out, _ = run_cli(capsys, "verify", "uniform", "--spec", str(out_path))
     assert rc == 0
+
+
+TOY_DOC = """\
+system toy-fib
+register b 10
+register s 6
+feedback b[9] = s[0] + b[0] + {b9}
+feedback s[5] = s[0] + s[1]
+output H = b[1]*s[3] + s[4]*s[5] + b[2]*s[1]*s[5]
+output Z = b[0] + b[2] + s[2] + H
+inject init b[9] = Z
+inject init s[5] = Z
+"""
+STRANDING_TOY = TOY_DOC.format(b9="b[7] + b[3]*b[8] + b[5]*b[7] + b[6]*b[7]*b[8]")
+UNIFORM_TOY = TOY_DOC.format(b9="b[5] + b[2]*b[5] + b[1]*b[4] + b[3]*b[4]*b[5]")
+
+
+def _auto(tmp_path, capsys, doc, *extra):
+    src, out_path = tmp_path / "toy.fsr", tmp_path / "auto.fsr"
+    src.write_text(doc)
+    rc, out, err = run_cli(
+        capsys, "transform", "--spec", str(src), "--auto", "--out", str(out_path), *extra
+    )
+    return rc, err, out_path
+
+
+def test_transform_auto_raises_the_terminal_over_stranded_terms(tmp_path, capsys):
+    # b[8]*b[3] and b[8]*b[7]*b[6] fit no position at terminal 5 and k 2;
+    # they once stayed at the top bit above a new terminal 7
+    rc, err, out_path = _auto(tmp_path, capsys, STRANDING_TOY, "--k", "2")
+    assert (rc, err) == (0, "")
+    rc, out, _ = run_cli(capsys, "verify", "uniform", "--spec", str(out_path))
+    assert rc == 0, out
+    source = parse_spec(STRANDING_TOY).system
+    emitted = parse_spec(out_path.read_text()).system
+    assert check_equivalence_mapped(source, emitted, 200, 200, 1).equal
+
+
+def test_transform_auto_moves_terms_of_a_uniform_toy(tmp_path, capsys):
+    rc, err, out_path = _auto(tmp_path, capsys, UNIFORM_TOY, "--k", "2", "--terminal", "5")
+    assert (rc, err) == (0, "")
+    source = parse_spec(UNIFORM_TOY).system
+    emitted = parse_spec(out_path.read_text()).system
+    assert emitted.register("b").explicit_bits() == (7, 9)
+    assert check_uniform(emitted.register("b")).uniform
+    assert check_equivalence_mapped(source, emitted, 200, 200, 1).equal
+
+
+def test_transform_auto_is_refused_by_the_script_gate(tmp_path, capsys):
+    # at k 1 each single move leaves b[8] above the new terminal at the top bit
+    rc, err, out_path = _auto(tmp_path, capsys, STRANDING_TOY, "--k", "1")
+    assert rc == 1 and not out_path.exists()
+    assert err == "script rejected: move 0 breaks uniformity: bit 9 index-above-terminal\n"
 
 
 def test_transform_has_no_cost_model_flag(capsys):

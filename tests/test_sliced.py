@@ -1,7 +1,7 @@
 """The bitsliced mapped check against a per-trial reference.
 
 The reference draws with ``rng.randrange(2)``, maps with
-``map_initial_state`` and steps with the public ``engine.step``, one trial
+``map_system_state`` and steps with the public ``engine.step``, one trial
 and one cycle at a time, as the check did before its trials were sliced.
 """
 
@@ -20,7 +20,7 @@ from grainkit.transform import (
     MappedVerdict,
     check_equivalence_mapped,
     collapse_to_fibonacci,
-    map_initial_state,
+    map_system_state,
     terminal_bit,
 )
 from conftest import GALOIS_VARIANTS
@@ -38,18 +38,15 @@ def reference_trials(fib_system, gal_system, trials, seed):
     """(Fibonacci state, mapped Galois state) of every trial, drawn one bit at a time."""
     rng = random.Random(seed)
     ids = fib_system.register_ids()
+    # map_system_state demands that the target collapse to the source; the
+    # check deliberately does not, so the source is the target's own
+    # collapse, which leaves the formula alone.
+    collapsed = SystemSpec([collapse_to_fibonacci(r) for r in gal_system.registers])
     for _ in range(trials):
         bits = {rid: [rng.randrange(2) for _ in range(fib_system.register(rid).length)]
                 for rid in ids}
-        # map_initial_state demands that the target collapse to the source;
-        # the check deliberately does not, so the source is the target's own
-        # collapse, which leaves the formula alone.
-        mapped = {}
-        for rid in ids:
-            gal = gal_system.register(rid)
-            mapped[rid] = map_initial_state(collapse_to_fibonacci(gal), gal, bits[rid])
-        yield (SystemState.from_bits(fib_system, bits),
-               SystemState.from_bits(gal_system, mapped))
+        mapped = map_system_state(collapsed, gal_system, SystemState.from_bits(collapsed, bits))
+        yield SystemState.from_bits(fib_system, bits), mapped
 
 
 def reference_divergence(fib_system, gal_system, fib, gal, cycles):
@@ -214,22 +211,23 @@ def test_sliced_layout_matches_unit_steps_at_every_legal_k(case, modes, rnd):
 @pytest.mark.parametrize("flavour", ["official", "as-printed"])
 @pytest.mark.parametrize("name", GALOIS_VARIANTS)
 def test_lane_word_mapping_matches_the_bit_mapping(name, flavour, rng):
-    for reg in variant(name, flavour).system.registers:
-        _check_lane_mapping(reg, rng)
+    _check_lane_mapping(variant(name, flavour).system, rng)
 
 
 def test_lane_word_mapping_sets_constants_in_every_instance(rng):
     # bit 3 absorbs the tail of bit 2, constant included
-    _check_lane_mapping(RegisterSpec("r", 4, {2: parse_expr("r[3] + r[0]*r[1] + 1")}), rng)
+    reg = RegisterSpec("r", 4, {2: parse_expr("r[3] + r[0]*r[1] + 1")})
+    _check_lane_mapping(SystemSpec([reg]), rng)
 
 
-def _check_lane_mapping(reg, rng):
-    mapper = transform._state_mapper(reg)
-    states = [[rng.randrange(2) for _ in range(reg.length)] for _ in range(37)]
-    lanes = [sum(s[i] << t for t, s in enumerate(states)) for i in range(reg.length)]
+def _check_lane_mapping(system, rng):
+    mapper = transform._state_mapper(system)
+    width = sum(r.length for r in system.registers)
+    states = [[rng.randrange(2) for _ in range(width)] for _ in range(37)]
+    lanes = [sum(s[i] << t for t, s in enumerate(states)) for i in range(width)]
     got = mapper(lanes, (1 << len(states)) - 1)
     for t, state in enumerate(states):
-        assert tuple((w >> t) & 1 for w in got) == mapper(state), (reg.id, t)
+        assert [(w >> t) & 1 for w in got] == mapper(state), t
 
 
 def test_trials_run_in_slices_in_order(monkeypatch):

@@ -20,9 +20,7 @@ from grainkit.transform import (
     check_script,
     check_uniform,
     collapse_to_fibonacci,
-    feedback_tail,
     format_shift_script,
-    map_initial_state,
     map_system_state,
     max_hw_parallel_degree,
     min_terminal_bit,
@@ -268,7 +266,6 @@ def test_max_hw_parallel_degree():
 def test_auto_distribute_grain80_nlfsr():
     fib = variant("grain80-fib").system.register("b")
     dist = auto_distribute(fib, terminal=63, k=1)
-    assert dist.stranded == ()
     assert check_uniform(dist.spec, terminal=63).uniform
     assert collapse_to_fibonacci(dist.spec) == fib
     replay = check_script(fib, dist.script)
@@ -278,7 +275,6 @@ def test_auto_distribute_grain80_nlfsr():
 def test_auto_distribute_lfsr_spreads_linear_terms():
     fib = variant("grain80-fib").system.register("s")
     dist = auto_distribute(fib, terminal=64, k=1)
-    assert dist.stranded == ()
     assert check_uniform(dist.spec, terminal=64).uniform
     assert collapse_to_fibonacci(dist.spec) == fib
     # five movable terms over fifteen slots: each lands on its own bit,
@@ -299,9 +295,28 @@ def test_auto_distribute_identity_when_only_top_position():
 
 
 def test_auto_distribute_reports_stranded_terms():
-    spec = RegisterSpec("r", 8, {7: parse_expr("r[0] + r[6]*r[4]")})
-    dist = auto_distribute(spec, terminal=3, k=4)
-    assert dist.stranded == (parse_term("r[6]*r[4]"),)
+    # No position fits a stranded term, so the terminal rises to its
+    # highest index, where the top bit fits it, and every term is placed
+    # again: r[6]*r[3] fits none of 11, 9, 7, 5 at terminal 3.
+    spec = RegisterSpec("r", 12, {11: parse_expr("r[0] + r[6]*r[3] + r[5]")})
+    dist = auto_distribute(spec, terminal=3, k=2)
+    assert dist == auto_distribute(spec, terminal=6, k=2)
+    assert dist.script == (ShiftMove("r", 11, 9, frozenset({parse_term("r[5]")})),)
+    assert check_uniform(dist.spec).uniform
+    assert check_script(spec, dist.script).ok
+    # at k = 4 the raised terminal leaves the top bit only
+    narrow = RegisterSpec("r", 8, {7: parse_expr("r[0] + r[6]*r[4]")})
+    assert auto_distribute(narrow, terminal=3, k=4).spec == narrow
+
+
+def test_auto_distribute_raises_the_terminal_for_terms_that_stay():
+    # r[6]*q[0] never moves, so r[4] may not go below bit 6 (to bit 5 or
+    # lower, as terminal 2 alone allows)
+    spec = RegisterSpec("r", 8, {7: parse_expr("r[0] + r[6]*q[0] + r[4]")})
+    dist = auto_distribute(spec, terminal=2, k=1)
+    assert dist == auto_distribute(spec, terminal=6, k=1)
+    assert dist.script == ()
+    assert check_uniform(dist.spec).uniform
 
 
 def test_auto_distribute_rejects_too_low_terminal():
@@ -338,18 +353,70 @@ def test_collapse_detects_as_printed_duplicate():
     }
 
 
+def _collapse_by_moves(spec):
+    """Reference collapse: ``apply_shift`` moves every lower bit's terms to the top.
+
+    The shift term stays behind, and so does the constant, which
+    ``apply_shift`` never moves; the constants are XORed into the top apart.
+    """
+    top = spec.length - 1
+    current, const = spec, spec.expr(top).const
+    for bit in spec.explicit_bits():
+        if bit != top:
+            terms = spec.expr(bit).terms - {Term.of(spec.id, bit + 1)}
+            current = apply_shift(current, ShiftMove(spec.id, bit, top, terms))
+            const ^= spec.expr(bit).const
+    for bit in current.explicit_bits():
+        assert bit == top or current.expr(bit).terms == {Term.of(spec.id, bit + 1)}
+    return RegisterSpec(spec.id, spec.length, {top: Anf(current.expr(top).terms, const)})
+
+
+def _collapse_cases():
+    for name in ALL_VARIANTS:
+        for flavour in ("official", "as-printed"):
+            yield from variant(name, flavour).system.registers
+    yield RegisterSpec("r", 6, {  # constants at three bits, one of them the top
+        5: parse_expr("r[0] + r[2] + 1"),
+        3: parse_expr("r[4] + r[0]*r[1] + 1"),
+        2: parse_expr("r[3] + r[0] + 1"),
+    })
+    rng = random.Random(0x5EED)  # the registers of acceptance criterion 5
+    for _ in range(100):
+        yield _random_uniform_transformation(rng)[1]
+
+
+def test_collapse_matches_moving_every_tail_to_the_top():
+    cases = 0
+    for spec in _collapse_cases():
+        got = collapse_to_fibonacci(spec)
+        assert got == _collapse_by_moves(spec), spec
+        # the diagnostics walk the same lift: odd-count terms are the collapse
+        top = spec.length - 1
+        odd = {t for t, bits in transform.unshift_sources(spec).items() if len(bits) % 2}
+        assert odd ^ {Term.of(spec.id, 0)} == got.expr(top).terms
+        cases += 1
+    assert cases == 36 + 1 + 100
+
+
 # ---------------------------------------------------------- state mapping
+
+
+def _map_register(fib, gal, bits):
+    """``map_system_state`` on one-register systems, as a bit tuple."""
+    fib_sys, gal_sys = SystemSpec([fib]), SystemSpec([gal])
+    state = SystemState.from_bits(fib_sys, {fib.id: bits})
+    return map_system_state(fib_sys, gal_sys, state).bits(gal.id)
 
 
 def test_map_initial_state_identity_without_shifts():
     fib = fib4()
-    assert map_initial_state(fib, fib, (1, 0, 1, 1)) == (1, 0, 1, 1)
+    assert _map_register(fib, fib, (1, 0, 1, 1)) == (1, 0, 1, 1)
 
 
 def test_map_initial_state_four_bit_formula():
     for a in range(16):
         bits = tuple((a >> i) & 1 for i in range(4))
-        mapped = map_initial_state(fib4(), gal4(), bits)
+        mapped = _map_register(fib4(), gal4(), bits)
         assert mapped[:3] == bits[:3]
         assert mapped[3] == bits[3] ^ (bits[0] & bits[1])
 
@@ -359,34 +426,39 @@ def test_map_initial_state_four_bit_outputs_agree_forever():
     gal_sys = SystemSpec([gal4()])
     for a in range(16):
         bits = tuple((a >> i) & 1 for i in range(4))
-        mapped = map_initial_state(fib4(), gal4(), bits)
+        mapped = _map_register(fib4(), gal4(), bits)
         tf, _ = run(fib_sys, SystemState.from_bits(fib_sys, {"r": bits}), 64, watch=(("r", 0),))
         tg, _ = run(gal_sys, SystemState.from_bits(gal_sys, {"r": mapped}), 64, watch=(("r", 0),))
         assert tf[("r", 0)] == tg[("r", 0)]
 
 
 def test_map_initial_state_is_identity_below_terminal(rng):
-    fib = variant("grain80-fib").system.register("b")
-    gal = variant("grain80-galois-1").system.register("b")
-    bits = rand_bits(rng, 80)
-    mapped = map_initial_state(fib, gal, bits)
-    assert mapped[:64] == bits[:64]
+    v = variant("grain80-galois-1")
+    fib = v.fib_variant()
+    state = SystemState.from_bits(fib.system, {"b": rand_bits(rng, 80), "s": rand_bits(rng, 80)})
+    mapped = map_system_state(fib.system, v.system, state)
+    assert mapped.bits("b")[:64] == state.bits("b")[:64]
+    assert mapped.bits("s") == state.bits("s")
 
 
 def test_map_initial_state_validations():
-    with pytest.raises(ValueError):
-        map_initial_state(fib4(), RegisterSpec("r", 5), (0,) * 4)
-    with pytest.raises(ValueError):
-        map_initial_state(fib4(), gal4(), (0,) * 5)
+    fib_sys = SystemSpec([fib4()])
+    zeros = SystemState.zeros(fib_sys)
+    with pytest.raises(ValueError, match="different registers"):
+        map_system_state(fib_sys, SystemSpec([RegisterSpec("r", 5)]), zeros)
+    wider = SystemSpec([fib4(), RegisterSpec("q", 2)])
+    with pytest.raises(ValueError, match="conform"):
+        map_system_state(fib_sys, SystemSpec([gal4()]), SystemState.zeros(wider))
     other = RegisterSpec("r", 4, {2: parse_expr("r[3] + r[0]")})
-    with pytest.raises(ValueError, match="collapse"):
-        map_initial_state(fib4(), other, (0,) * 4)
+    with pytest.raises(ValueError, match="register 'r' does not collapse"):
+        map_system_state(fib_sys, SystemSpec([other]), zeros)
     non_uniform = RegisterSpec("r", 4, {2: parse_expr("r[0]*r[1]")})
     with pytest.raises(ValueError, match="uniform"):
-        map_initial_state(fib4(), non_uniform, (0,) * 4)
+        map_system_state(fib_sys, SystemSpec([non_uniform]), zeros)
+    # only the top bit may read another register
     foreign = RegisterSpec("r", 4, {2: parse_expr("r[3] + q[0]")})
     with pytest.raises(ForeignVariableError):
-        map_initial_state(fib4(), foreign, (0,) * 4)
+        map_system_state(wider, SystemSpec([foreign, RegisterSpec("q", 2)]), SystemState.zeros(wider))
 
 
 @pytest.mark.parametrize("name", ALL_VARIANTS)
@@ -414,17 +486,22 @@ def test_map_system_state_refuses_as_printed_collapse():
 @pytest.mark.parametrize("name", GALOIS_VARIANTS)
 def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
     """The index-tuple form equals evaluating each lagged tail with ``evaluate``."""
-    for galois in variant(name, flavour).system.registers:
-        n, t = galois.length, terminal_bit(galois)
-        for _ in range(3):
+    system = variant(name, flavour).system
+    mapper = transform._state_mapper(system)
+    for _ in range(3):
+        layout, want = [], []
+        for galois in system.registers:
+            n, t = galois.length, terminal_bit(galois)
             bits = rand_bits(rng, n)
-            want = list(bits)
+            mapped = list(bits)
             for i in range(t + 1, n):
                 for j in galois.explicit_bits():
                     if t <= j < i:
-                        g, lag = feedback_tail(galois, j), i - 1 - j
-                        want[i] ^= evaluate(g, {v: bits[v.idx + lag] for v in g.support()})
-            assert transform._state_mapper(galois)(bits) == tuple(want)
+                        g, lag = galois.tail(j), i - 1 - j
+                        mapped[i] ^= evaluate(g, {v: bits[v.idx + lag] for v in g.support()})
+            layout += bits
+            want += mapped
+        assert mapper(layout) == want
 
 
 # ---------------------------------------------------------- equivalence checks
