@@ -12,6 +12,7 @@ import argparse
 import functools
 import random
 import sys
+import warnings
 from typing import Sequence
 
 from . import grain, timing, transform
@@ -274,7 +275,12 @@ def _cmd_verify_parallel(args) -> int:
 def _cmd_analyze_timing(args) -> int:
     name, system = _load_system(args)
     cm = timing.parse_cost_model(_read(args.cost_model)) if args.cost_model else None
-    report = timing.critical_depths(system)
+    # the divider clamp warns; report it on every call, not once per process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = timing.critical_depths(system)
+    for note in caught:
+        print(f"warning: {note.message}", file=sys.stderr)
     pairs = [("system", name)]
     pairs += [(f"expr.{k}", d) for k, d in sorted(report.expr_depths.items())]
     pairs += [

@@ -9,6 +9,7 @@ and areas depend on a technology library and are out of scope.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -41,13 +42,16 @@ class CostModel:
     and2: float = 1.0
 
     def __post_init__(self):
-        if self.xor2 <= 0 or self.and2 <= 0:
-            raise ValueError("gate weights must be positive")
+        for gate in ("xor2", "and2"):
+            weight = getattr(self, gate)
+            # NaN fails every comparison, so test for the good case
+            if not (math.isfinite(weight) and weight > 0):
+                raise ValueError(f"{gate} weight must be finite and positive, not {weight}")
 
 
 def parse_cost_model(text: str) -> CostModel:
-    """Read ``weight xor2 = <float>`` / ``weight and2 = <float>`` lines."""
-    weights = {}
+    """Read ``weight xor2 = <float>`` / ``weight and2 = <float>`` lines, each gate once."""
+    weights: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,7 +61,12 @@ def parse_cost_model(text: str) -> CostModel:
             raise ValueError(f"line {lineno}: expected 'weight <gate> = <float>'")
         if parts[1] not in ("xor2", "and2"):
             raise ValueError(f"line {lineno}: unknown gate {parts[1]!r}")
-        weights[parts[1]] = float(parts[3])
+        if parts[1] in weights:
+            raise ValueError(f"line {lineno}: duplicate weight for {parts[1]!r}")
+        try:
+            weights[parts[1]] = float(parts[3])
+        except ValueError:
+            raise ValueError(f"line {lineno}: {parts[3]!r} is not a number") from None
     return CostModel(**weights)
 
 

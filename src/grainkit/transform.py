@@ -627,6 +627,9 @@ def _unslice(words: list[int], count: int) -> list[int]:
     return table.tolist()
 
 
+_SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
+
+
 def _prefix_classes(
     spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int
 ) -> tuple[list[int], int]:
@@ -731,22 +734,25 @@ def check_equivalence_mapped(
     """Seeded-random full-scale equivalence check between two systems.
 
     Each trial is a random state of the first system, converted into the
-    second by the state-mapping formula; both run with no modes active and every
-    register's bits 0..terminal must agree cycle for cycle.  The verdict
-    is unequal when any trial diverges, and it reports the first
+    second by the state-mapping formula; both run with no modes active and
+    every register's bits 0..terminal must agree cycle for cycle.  The
+    verdict is unequal when any trial diverges, and it reports the first
     divergence of the lowest-numbered such trial.
 
-    Trials run bitsliced, up to ``_SLICE_TRIALS`` at once and in order:
-    one word per register bit, trial t in bit t of every word.  The draw
-    is ``_random_bits``, equal bit for bit to ``rng.randrange(2)`` per bit
-    in trial, register, bit order, and one call of the system's mapping
-    formula maps a whole slice.  Both systems advance k cycles
-    per call and are compared at block ends (see ``_mapped_degree``), the
-    last partial block one cycle at a time; a slice stops early once its
-    first trial diverges, and no later slice runs once one has diverged.
-    Only the lowest divergent trial is then replayed from its slice-start
-    words, alone and one cycle at a time on the same sliced kernel, to
-    find its first divergent cycle, register and bit.
+    Trial t's state is the t-th ``getrandbits(width)`` of
+    ``random.Random(seed)``, with bit p of the layout (registers in system
+    order, then bits) in bit p, so any reported trial can be rebuilt from
+    the seed alone.  Trials run bitsliced, up to ``_SLICE_TRIALS`` at once
+    and in order: one word per layout bit, trial t in bit t of every word,
+    and one call of the system's mapping formula maps a whole slice.
+
+    One loop steps both systems k cycles per call and compares them at
+    block ends (see ``_mapped_degree``), the last partial block one cycle
+    at a time, until the instance in bit 0 diverges or the cycles run out;
+    no later slice runs once one has diverged.  The lowest divergent trial
+    is then replayed through the same loop from its slice-start words,
+    alone and one cycle at a time, to find its first divergent cycle,
+    register and bit.
 
     The conversion is deliberately the bare formula, not
     ``map_system_state``: collapse equality is what the simulation tests,
@@ -799,19 +805,10 @@ def check_equivalence_mapped(
 
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
     no_modes = frozenset()
-    rng = random.Random(seed)
-    # Trials run in slices of at most _SLICE_TRIALS, in order, so memory
-    # stays bounded; the first slice with a divergence holds the lowest
-    # divergent trial.
-    for first in range(0, trials, _SLICE_TRIALS):
-        count = min(_SLICE_TRIALS, trials - first)
-        ones = (1 << count) - 1
-        drawn = _random_bits(rng, count * width)
-        fib_start = [int(drawn[p::width][::-1].translate(_ASCII), 2) for p in range(width)]
-        gal_start = mapper(fib_start, ones)
-        fib_words, gal_words = fib_start, gal_start
+
+    def run(fib_words, gal_words, ones, k):
         # A trial that agrees at cycle c agrees at c+1..c+k iff it agrees
-        # at c+k, so ``bad`` holds exactly the trials diverged so far.
+        # at c+k, so ``bad`` holds exactly the trials diverged by ``cycle``.
         bad, cycle = diverged(fib_words, gal_words), 0
         while not bad & 1 and cycle < cycles - 1:
             step = k if cycle + k <= cycles - 1 else 1
@@ -819,52 +816,37 @@ def check_equivalence_mapped(
             gal_words = gal_comp.sliced(no_modes, step)(gal_words, ones)
             bad |= diverged(fib_words, gal_words)
             cycle += step
+        return bad, cycle, fib_words, gal_words
+
+    rng = random.Random(seed)
+    # Trials run in slices of at most _SLICE_TRIALS, in order, so memory
+    # stays bounded; the first slice with a divergence holds the lowest
+    # divergent trial.
+    for first in range(0, trials, _SLICE_TRIALS):
+        count = min(_SLICE_TRIALS, trials - first)
+        ones = (1 << count) - 1
+        # Reversed, the trials' binary digits put bit p of the last trial
+        # at index p, so every width-th digit from p is plane p, trial t in
+        # bit t.
+        drawn = "".join([format(rng.getrandbits(width), f"0{width}b") for _ in range(count)])[::-1]
+        fib_start = [int(drawn[p::width], 2) for p in range(width)]
+        gal_start = mapper(fib_start, ones)
+        bad = run(fib_start, gal_start, ones, k)[0]
         if bad:
             break
     else:
         return MappedVerdict(True, trials, cycles)
 
     lowest = (bad & -bad).bit_length() - 1
-    fib_words = [w >> lowest & 1 for w in fib_start]
-    gal_words = [w >> lowest & 1 for w in gal_start]
-    fib_step, gal_step = fib_comp.sliced(no_modes, 1), gal_comp.sliced(no_modes, 1)
-    for cycle in range(cycles):
-        if diverged(fib_words, gal_words):
-            # the first differing plane in layout order: lowest register, then bit
-            for rid, (a, b) in zip(ids, compared):
-                for p in range(a, b):
-                    if fib_words[p] != gal_words[p]:
-                        point = DivergencePoint(first + lowest, rid, cycle, p - a)
-                        return MappedVerdict(False, trials, cycles, point)
-        fib_words = fib_step(fib_words, 1)
-        gal_words = gal_step(gal_words, 1)
+    alone = ([w >> lowest & 1 for w in words] for words in (fib_start, gal_start))
+    _, cycle, fib_words, gal_words = run(*alone, 1, 1)
+    # the first differing plane in layout order: lowest register, then bit
+    for rid, (a, b) in zip(ids, compared):
+        for p in range(a, b):
+            if fib_words[p] != gal_words[p]:
+                point = DivergencePoint(first + lowest, rid, cycle, p - a)
+                return MappedVerdict(False, trials, cycles, point)
     raise AssertionError(f"trial {first + lowest} diverges in its slice but not alone")
-
-
-def _random_bits(rng: random.Random, count: int) -> bytes:
-    """``bytes(rng.randrange(2) for _ in range(count))``, drawn in bulk.
-
-    This relies on how CPython's ``randrange(2)`` draws: each attempt
-    reads one 32-bit Mersenne Twister output, rejects it when its top bit
-    is set and otherwise returns its bit 30.  ``getrandbits(32 * m)``
-    holds m consecutive outputs, the first in its lowest 32 bits, so the
-    top byte of each decides one attempt.  A batch asks for no more
-    outputs than bits are still missing, so the generator ends where
-    ``count`` calls of ``randrange(2)`` leave it.  A test compares the
-    two bit for bit; it is what guards this dependence.
-    """
-    out = b""
-    while len(out) < count:
-        m = count - len(out)
-        tops = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        out += tops.translate(_BIT30, _TOP_SET)
-    return out
-
-
-_BIT30 = bytes((b >> 6) & 1 for b in range(256))
-_TOP_SET = bytes(range(128, 256))
-_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-_SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 
 def _mapped_degree(

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,32 @@ def test_analyze_timing_cost_model(tmp_path, capsys):
         "--cost-model", str(path), "--kv",
     )
     assert rc == 0 and "area_proxy=" in out
+
+
+def test_analyze_timing_refuses_a_non_finite_weight(tmp_path, capsys):
+    path = tmp_path / "weights.txt"
+    path.write_text("weight xor2 = nan\n")
+    rc, out, err = run_cli(
+        capsys, "analyze", "timing", "--variant", "grain80-fib", "--cost-model", str(path)
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: xor2 weight must be finite and positive, not nan\n"
+
+
+def test_analyze_timing_prints_the_divider_clamp_on_every_call(tmp_path, capsys):
+    path = tmp_path / "clamp.fsr"
+    path.write_text(
+        "system clamp\nregister r 4\noutput OUT = r[0]\ninject init r[3] = OUT\n"
+    )
+    # whatever the process's warning filter, and not only on the first call
+    for action in ("default", "default", "ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            rc, out, err = run_cli(capsys, "analyze", "timing", "--spec", str(path), "--kv")
+        assert rc == 0 and "divider=4\n" in out
+        assert err == (
+            "warning: init/keygen depth ratio exceeds 4 (1/0); clamping divider to 4\n"
+        )
 
 
 def test_transform_auto_roundtrip(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The bitsliced mapped check against a per-trial reference.
 
-The reference draws with ``rng.randrange(2)``, maps with
-``map_system_state`` and steps with the public ``engine.step``, one trial
-and one cycle at a time, as the check did before its trials were sliced.
+The reference draws each trial with one ``rng.getrandbits(width)`` and
+splits it over the registers, maps with ``map_system_state`` and steps
+with the public ``engine.step``, one trial and one cycle at a time, as the
+check did before its trials were sliced.
 """
 
 import random
@@ -35,16 +36,23 @@ BENCH_CASES = (  # as in perfbench/worker.py: variant, tap flavour
 
 
 def reference_trials(fib_system, gal_system, trials, seed):
-    """(Fibonacci state, mapped Galois state) of every trial, drawn one bit at a time."""
+    """(Fibonacci state, mapped Galois state) of every trial, one ``getrandbits`` each.
+
+    The draw holds the registers in system order, each register's bit i
+    in bit offset + i.
+    """
     rng = random.Random(seed)
-    ids = fib_system.register_ids()
+    lengths = [(r.id, r.length) for r in fib_system.registers]
+    width = sum(n for _, n in lengths)
     # map_system_state demands that the target collapse to the source; the
     # check deliberately does not, so the source is the target's own
     # collapse, which leaves the formula alone.
     collapsed = SystemSpec([collapse_to_fibonacci(r) for r in gal_system.registers])
     for _ in range(trials):
-        bits = {rid: [rng.randrange(2) for _ in range(fib_system.register(rid).length)]
-                for rid in ids}
+        drawn, bits = rng.getrandbits(width), {}
+        for rid, n in lengths:
+            bits[rid] = [(drawn >> i) & 1 for i in range(n)]
+            drawn >>= n
         mapped = map_system_state(collapsed, gal_system, SystemState.from_bits(collapsed, bits))
         yield SystemState.from_bits(fib_system, bits), mapped
 
@@ -68,15 +76,6 @@ def reference_check(fib_system, gal_system, trials, cycles, seed):
         if hit is not None:
             return MappedVerdict(False, trials, cycles, DivergencePoint(trial, *hit))
     return MappedVerdict(True, trials, cycles)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_bulk_draw_is_randrange_bit_for_bit(seed):
-    for count in (0, 1, 5, 160, 25600, 33333):
-        bulk, single = random.Random(seed), random.Random(seed)
-        got = transform._random_bits(bulk, count)
-        assert got == bytes(single.randrange(2) for _ in range(count)), count
-        assert bulk.getstate() == single.getstate(), count
 
 
 def test_mapped_check_matches_the_reference_on_mutated_registers():

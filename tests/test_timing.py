@@ -130,6 +130,24 @@ def test_cost_model_file():
         CostModel(0.0, 1.0)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "0", "-1.5"])
+def test_cost_model_refuses_weights_that_are_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match="and2 weight must be finite and positive"):
+        parse_cost_model(f"weight xor2 = 2\nweight and2 = {value}\n")
+    with pytest.raises(ValueError, match="xor2 weight must be finite and positive"):
+        CostModel(xor2=float(value))
+
+
+def test_cost_model_names_the_line_of_a_number_that_does_not_parse():
+    with pytest.raises(ValueError, match=r"^line 2: 'abc' is not a number$"):
+        parse_cost_model("weight xor2 = 1.0\nweight and2 = abc\n")
+
+
+def test_cost_model_refuses_a_repeated_gate():
+    with pytest.raises(ValueError, match=r"^line 3: duplicate weight for 'xor2'$"):
+        parse_cost_model("weight xor2 = 1.0\n# again\nweight xor2 = 2.0\n")
+
+
 def test_output_chain_depths():
     reg = RegisterSpec("r", 8)
     system = SystemSpec(
