@@ -127,8 +127,11 @@ def _cmd_transform(args) -> int:
     out_system = system.replace_register(result.spec)
     text = format_spec(out_system, name=args.name or "transformed")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text, end="")
     return OK
@@ -137,11 +140,9 @@ def _cmd_transform(args) -> int:
 def _cmd_verify_uniform(args) -> int:
     name, system = _load_system(args)
     status = OK
-    for reg in system.registers:
-        if args.register and reg.id != args.register:
-            continue
-        terminal = args.terminal
-        report = transform.check_uniform(reg, terminal)
+    regs = system.registers if args.register is None else [_pick_register(system, args.register)]
+    for reg in regs:
+        report = transform.check_uniform(reg, args.terminal)
         label = f"{name}/{reg.id}"
         if report.uniform:
             print(f"{label}: uniform, terminal bit {report.terminal}")

@@ -5,9 +5,10 @@ and injected outputs are all evaluated on the pre-step state.  Specs and
 states are immutable; stepping returns a fresh state, so independent
 simulations can share them freely.
 
-Each system compiles once; ``step``, ``run``, ``tap_trace`` and
-``output_values`` all run generated lane kernels.  A state is validated
-once per call, so ``run`` is the way to simulate many cycles: it loops on
+Each system compiles once.  ``run`` is the one path that steps a single
+instance: ``step``, ``tap_trace`` and ``output_values`` only call it, and
+it runs generated lane kernels.  A state is validated once per
+call, so one ``run`` is the way to simulate many cycles: it loops on
 packed words and builds one state at the end.
 
 Lane form.  Every feedback is written ``f_j = x[(j+1) mod n] ^ g_j``, a
@@ -17,9 +18,11 @@ are one step: ``w' = rotr(w, k) ^ XOR_j rotl(G_j, j - k + 1)`` within the
 register's length, and tap v reads ``rotr(w, v) & (2^k - 1)`` XOR
 ``(G_{v+i} << (i + 1)) & (2^k - 1)`` for each window bit v+i, i < k - 1.
 Taps, windows and outputs are evaluated in dependency order, so a k is
-legal when those dependencies have no cycle.  ``run`` takes
-``cycles // k`` lane steps at the largest legal k for its modes (at most
-the shortest register's length) and the remainder as unit steps (k = 1).
+legal when those dependencies have no cycle; one test, a topological sort
+of the dependency graph at k, decides that both for the kernel and for
+the largest legal k.  ``run`` takes ``cycles // k`` lane steps at the
+largest legal k for its modes (at most the shortest register's length)
+and the remainder as unit steps (k = 1).
 
 The sliced layout (``_CompiledSystem.sliced``) runs many instances of
 one system at once, bitsliced: one word per register bit, one instance
@@ -300,19 +303,6 @@ def _var(node) -> str:
     return "_".join(map(str, node))
 
 
-def _reaches(deps, src, dst) -> bool:
-    seen, todo = {src}, [src]
-    while todo:
-        node = todo.pop()
-        if node == dst:
-            return True
-        for nxt in deps.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return False
-
-
 def _unlane(lanes, k: int, units) -> tuple[int, ...]:
     """Bits of k-lane words (lane 0 of the first word first), then ``units``."""
     fmt = f"0{k}b"
@@ -395,31 +385,24 @@ class _CompiledSystem:
         """Largest k at which ``modes`` has a lane kernel (1 always does).
 
         Tap v reads window j once k >= (j - v) mod n + 2, so dependencies
-        only grow with k; they are added in that order until one closes a
-        cycle, and k stops one short of it.
+        only grow with k and a cycle, once closed, stays closed: k is
+        bisected over 1..min(length) with the kernel's own acyclicity test.
         """
         got = self._degrees.get(modes)
         if got is not None:
             return got
         wins = self._windows(modes)
-        got = min(n for _, n in self.signature)
-        deps = self._graph([("g", r, j) for r, j in wins], wins, 1)
-        edges = sorted(
-            ((j - tap[2]) % self.signature[r][1], tap, ("g", r, j))
-            for tap in deps
-            if tap[0] == "t"
-            for r, j in wins
-            if r == tap[1]
-        )
-        for d, tap, win in edges:
-            if d + 2 > got:
-                break
-            if _reaches(deps, win, tap):
-                got = d + 1
-                break
-            deps[tap].append(win)
-        self._degrees[modes] = got
-        return got
+        roots = [("g", r, j) for r, j in wins]
+        lo, hi = 1, min(n for _, n in self.signature)
+        while lo < hi:
+            k = (lo + hi + 1) // 2
+            try:
+                TopologicalSorter(self._graph(roots, wins, k)).prepare()
+                lo = k
+            except CycleError:
+                hi = k - 1
+        self._degrees[modes] = lo
+        return lo
 
     def kernel(self, modes: frozenset, k: int, watch: tuple = ()):
         """``lanes(words, steps, sinks) -> words``: ``steps`` k-cycle steps.
@@ -577,22 +560,6 @@ def _exec(src: str, name: str, filename: str):
     return scope[name]
 
 
-def _advance(
-    comp: _CompiledSystem,
-    words,
-    modes: frozenset,
-    steps: int = 1,
-    watch: tuple = (),
-    sinks=(),
-) -> list[int]:
-    """``steps`` unit cycles on packed words, in system register order.
-
-    This is the lane kernel at k = 1.  Injected outputs are evaluated on
-    the same pre-step words as the feedback functions.
-    """
-    return comp.kernel(modes, 1, watch)(words, steps, sinks)
-
-
 def _words(state: SystemState) -> list[int]:
     return [w for _, _, w in state.regs]
 
@@ -602,24 +569,13 @@ def _state(comp: _CompiledSystem, words, cycle: int) -> SystemState:
     return SystemState(regs, cycle)
 
 
-def _check_state(spec: SystemSpec, state: SystemState) -> None:
-    if state.signature() != spec._compiled.signature:
-        raise ValueError("state does not conform to the system spec")
-
-
 def output_values(
     spec: SystemSpec, state: SystemState, names: Iterable[str] | None = None
 ) -> dict[str, int]:
     """Evaluate named outputs (all of them by default) on the given state."""
-    _check_state(spec, state)
-    comp = spec._compiled
-    wanted = tuple(comp.out_index) if names is None else tuple(names)
-    for n in wanted:
-        if n not in comp.out_index:
-            raise KeyError(f"unknown output {n!r}")
-    sinks = [[] for _ in wanted]
-    _advance(comp, _words(state), frozenset(), 1, wanted, sinks)
-    return {n: seq[0] for n, seq in zip(wanted, sinks)}
+    wanted = spec.output_names() if names is None else tuple(names)
+    traces, _ = run(spec, state, 1, watch=wanted)
+    return {n: traces[n][0] for n in wanted}
 
 
 def step(
@@ -630,10 +586,7 @@ def step(
     Active ``modes`` enable the matching injections, whose output values
     are computed from the same pre-step state as the feedback functions.
     """
-    _check_state(spec, state)
-    comp = spec._compiled
-    words = _advance(comp, _words(state), frozenset(modes))
-    return _state(comp, words, state.cycle + 1)
+    return run(spec, state, 1, modes)[1]
 
 
 def run(
@@ -651,8 +604,9 @@ def run(
     """
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
-    _check_state(spec, state)
     comp = spec._compiled
+    if state.signature() != comp.signature:
+        raise ValueError("state does not conform to the system spec")
     watch = tuple(dict.fromkeys(watch))
     for target in watch:
         if isinstance(target, str):
@@ -677,7 +631,7 @@ def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
         words = comp.kernel(modes, k, watch)(words, blocks, lanes)
     units = [[] for _ in watch]
     if rest:
-        words = _advance(comp, words, modes, rest, watch, units)
+        words = comp.kernel(modes, 1, watch)(words, rest, units)
     traces = {t: _unlane(seq, k, unit) for t, seq, unit in zip(watch, lanes, units)}
     return traces, words
 
@@ -704,9 +658,6 @@ def tap_trace(
     modes: Iterable[str] = frozenset(),
 ) -> tuple[tuple[int, ...], ...]:
     """Full per-bit history of one register: rows are cycles, columns bits."""
-    if cycles < 0:
-        raise ValueError("cycles must be non-negative")
-    _check_state(spec, state)
     watch = [(reg_id, i) for i in range(spec.register(reg_id).length)]
     traces, _ = run(spec, state, cycles, modes, watch)
     return tuple(zip(*(traces[t] for t in watch)))

@@ -10,10 +10,12 @@ Galois configurations support two initialization modes.  ``native``
 clocks the variant's own system through the init phase.  ``equivalence``
 instead initializes the Fibonacci sibling and converts the resulting
 state with ``transform.map_system_state``, the one state-mapping
-routine, which provably reproduces the sibling's keystream bit for bit.
-The two modes disagree on Galois variants; this library verifies the
-equivalence-mode claim and leaves native mode as a deterministic
-behavior of its own.
+routine, meant to reproduce the sibling's keystream bit for bit.  That is
+checked, not proved: each register must collapse back to its Fibonacci
+sibling (``transform.collapse_to_fibonacci``), and the seeded mapped
+simulation (``transform.check_equivalence_mapped``) finds the two
+systems equal on its trials.  The two modes disagree on Galois variants;
+native mode is a deterministic behavior of its own.
 """
 
 from __future__ import annotations

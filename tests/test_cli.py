@@ -160,6 +160,14 @@ def test_verify_uniform(capsys):
     assert "terminal bit 63" in out
 
 
+def test_verify_uniform_one_register_and_an_unknown_one(capsys):
+    base = ("verify", "uniform", "--variant", "grain80-galois-1", "--register")
+    rc, out, _ = run_cli(capsys, *base, "s")
+    assert (rc, out) == (0, "grain80-galois-1/s: uniform, terminal bit 79\n")
+    rc, out, err = run_cli(capsys, *base, "q")
+    assert (rc, out, err) == (2, "", "error: unknown register 'q'\n")
+
+
 def test_verify_uniform_spec_file(tmp_path, capsys):
     path = tmp_path / "bad.fsr"
     path.write_text("system bad\nregister r 4\nfeedback r[2] = r[0]*r[1]\n")
@@ -348,6 +356,17 @@ def test_transform_auto_roundtrip(tmp_path, capsys):
     assert rc == 0, err
     rc, out, _ = run_cli(capsys, "verify", "uniform", "--spec", str(out_path))
     assert rc == 0
+
+
+def test_transform_reports_an_unwritable_out_path(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.fsr"
+    rc, out, err = run_cli(
+        capsys,
+        "transform", "--variant", "grain80-fib", "--register", "b",
+        "--auto", "--out", str(out_path),
+    )
+    assert (rc, out) == (2, "") and not out_path.exists()
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 TOY_DOC = """\

@@ -194,18 +194,23 @@ def test_run_unit_steps_only_the_remainder(monkeypatch, rng):
     k = system._compiled.degree(frozenset())
     assert k == 17
     calls = []
-    advance = engine._advance
+    kernel = engine._CompiledSystem.kernel
 
-    def spy(comp, words, modes, steps=1, watch=(), sinks=()):
-        calls.append(steps)
-        return advance(comp, words, modes, steps, watch, sinks)
+    def spy(comp, modes, lanes, watch=()):
+        fn = kernel(comp, modes, lanes, watch)
 
-    monkeypatch.setattr(engine, "_advance", spy)
+        def counted(words, steps, sinks):
+            calls.append((lanes, steps))
+            return fn(words, steps, sinks)
+
+        return counted
+
+    monkeypatch.setattr(engine._CompiledSystem, "kernel", spy)
     for cycles in (0, 1, 16, 17, 34, 100, 1000):
         calls.clear()
         run(system, state, cycles, watch=("Z",))
-        assert sum(calls) == cycles % k, cycles
-        assert len(calls) == (cycles % k > 0), cycles
+        blocks, rest = divmod(cycles, k)
+        assert calls == [(k, blocks)] * (blocks > 0) + [(1, rest)] * (rest > 0), cycles
 
 
 def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch):

@@ -3,7 +3,8 @@
 The Python library block runs with ``exec``.  Every ``grainkit ...``
 command in a shell block whose next line is a ``# <output>`` comment runs
 through ``cli.main``, and its first stdout line must equal that comment,
-or start with it when the comment ends in ``...``.
+or start with it when the comment ends in ``...``.  The lane-count table
+must equal the engine's derived degrees.
 """
 
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from grainkit import INIT_MODE, VARIANT_NAMES, variant
 from grainkit.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -53,3 +55,32 @@ def test_command_prints_its_documented_output(command, expected, capsys):
         assert first.startswith(expected[:-3].rstrip())
     else:
         assert first == expected
+
+
+def _lane_count_rows() -> list[tuple[str, tuple[str, ...], int, int]]:
+    """(family, flavours, init k, keygen k) for each row of the lane-count table."""
+    table = README.split("| configurations | init | key generation |\n|---|---|---|\n")[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("| "):
+            break
+        label, init_k, keygen_k = (cell.strip() for cell in line.strip("|").split("|"))
+        family = re.match(r"Grain-(\d+),", label).group(1)
+        flavours = tuple(re.findall(r"`([a-z-]+)`", label)) or ("official", "as-printed")
+        rows.append((f"grain{family}", flavours, int(init_k), int(keygen_k)))
+    return rows
+
+
+def test_lane_count_table_matches_the_engine():
+    rows = _lane_count_rows()
+    assert {(family, f) for family, flavours, _, _ in rows for f in flavours} == {
+        (family, f) for family in ("grain80", "grain128") for f in ("official", "as-printed")
+    }
+    for family, flavours, init_k, keygen_k in rows:
+        for name in VARIANT_NAMES:
+            if not name.startswith(family + "-"):
+                continue
+            for flavour in flavours:
+                comp = variant(name, flavour).system._compiled
+                got = (comp.degree(frozenset({INIT_MODE})), comp.degree(frozenset()))
+                assert got == (init_k, keygen_k), (name, flavour)

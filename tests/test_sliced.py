@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import grainkit.transform as transform
 from grainkit import variant
 from grainkit.anf import parse_expr
-from grainkit.engine import RegisterSpec, SystemSpec, SystemState, _advance, _words, step
+from grainkit.engine import RegisterSpec, SystemSpec, SystemState, _words, step
 from grainkit.transform import (
     DivergencePoint,
     MappedVerdict,
@@ -204,7 +204,8 @@ def test_sliced_layout_matches_unit_steps_at_every_legal_k(case, modes, rnd):
             words = comp.sliced(modes, k)(words, ones)
         words = comp.sliced(modes, 1)(words, ones)
         for t, start in enumerate(starts):
-            assert _unslice(comp, words, t) == _advance(comp, start, modes, 2 * k + 1), (k, t)
+            want = comp.kernel(modes, 1)(start, 2 * k + 1, ())
+            assert _unslice(comp, words, t) == want, (k, t)
 
 
 @pytest.mark.parametrize("flavour", ["official", "as-printed"])

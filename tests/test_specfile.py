@@ -134,3 +134,46 @@ def test_literal_constants_in_expressions():
 def test_comments_and_blank_lines_ignored():
     text = "# heading\nsystem t  # name\n\nregister r 4\n  # done\n"
     assert parse_spec(text).name == "t"
+
+
+HEAD = "system t\nregister r 4\n"
+OUT = HEAD + "output Z = r[0]\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (HEAD + "feedback r[3] = r[0] + r[4]\n",
+         "line 3, column 24: index 4 out of range for register 'r' of length 4"),
+        ("system\n", "line 1, column 1: expected 'system <name>'"),
+        ("system t\nregister r\n", "line 2, column 1: expected 'register <id> <length>'"),
+        ("system t\nregister r 0\n", "line 2, column 1: register 'r' needs positive length"),
+        (HEAD + "feedback r[3] r[0]\n",
+         "line 3, column 1: expected 'feedback <id>[<i>] = <expr>'"),
+        (HEAD + "feedback q[3] = r[0]\n", "line 3, column 1: undeclared register 'q'"),
+        (HEAD + "feedback r[3] = r[0]\nfeedback r[3] = r[1]\n",
+         "line 4, column 1: duplicate feedback for r[3]"),
+        (HEAD + "output Z\n", "line 3, column 1: expected 'output <NAME> = <expr>'"),
+        (HEAD + "output r = r[0]\n", "line 3, column 1: name 'r' already in use"),
+        (OUT + "output Z = r[1]\n", "line 4, column 1: name 'Z' already in use"),
+        (HEAD + "inject init r[3]\n",
+         "line 3, column 1: expected 'inject <mode> <id>[<i>] = <NAME>'"),
+        (OUT + "inject init q[3] = Z\n", "line 4, column 1: undeclared register 'q'"),
+        (OUT + "inject init r[4] = Z\n", "line 4, column 1: index 4 out of range for 'r'"),
+        (HEAD + "inject init r[3] = Z\n", "line 3, column 1: 'Z' is not a declared output"),
+        (HEAD + "param x = y\n", "line 3, column 1: expected 'param <key> = <int>'"),
+        ("system t\n", "line 1, column 1: the system declares no registers"),
+    ],
+)
+def test_malformed_documents_give_line_column_and_message(text, error):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == error
+
+
+def test_output_written_as_a_bare_reference_round_trips():
+    doc = parse_spec(OUT + "output Y = Z\n")
+    assert doc.system.output("Y").refs == ("Z",) and doc.system.output("Y").expr.is_zero()
+    text = format_spec(doc)
+    assert "output Y = Z\n" in text
+    assert parse_spec(text).system == doc.system
