@@ -20,7 +20,6 @@ from .anf import ForeignVariableError, term_sort_key
 from .bits import pack_bits
 from .engine import RegisterSpec, SystemSpec, SystemState, _lanes_match
 from .specfile import SpecError, format_spec, parse_spec
-from .transform import unshift_sources
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -171,9 +170,8 @@ def _cmd_verify_collapse(args) -> int:
         status = FAIL
         top = reg.length - 1
         diff = got.expr(top).terms ^ want.expr(top).terms
-        sources = unshift_sources(reg)
         for term in sorted(diff, key=term_sort_key):
-            origins = sources.get(term, ())
+            origins = transform.unshift_sources(reg, term)
             if len(origins) > 1:
                 where = " and ".join(f"bit {b}" for b in origins)
                 print(

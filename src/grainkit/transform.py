@@ -6,7 +6,7 @@ combinational paths.  Moving a term set from bit i to bit j ("shifting")
 remaps every index k to (k - i + j) mod n.  Shifting preserves the set
 of output sequences as long as every intermediate register stays
 uniform: each feedback is the next bit XOR logic that avoids it, and no
-logic above the terminal bit reaches past the terminal bit.
+logic from the terminal bit up reads a bit above the terminal bit.
 
 This module implements the shifting machinery, the uniformity and
 terminal-bit arithmetic, parallelization constraints, a greedy automatic
@@ -16,10 +16,12 @@ refinement for small registers, seeded-random mapped simulation at scale).
 
 Every correspondence between the forms starts from one split,
 ``RegisterSpec.tail``: ``f_j = x[j+1] ^ g_j`` (Dubrova 2009).  Uniformity
-reads the shift variable in g_j; the collapse and its diagnostics lift
-every g_j to the top bit in one walk; and ``map_system_state``, the one
-state-mapping routine, and the mapped check share one formula over the
-whole system layout.
+reads the shift variable in g_j.  One walk up each register from its
+terminal bit t lifts the tails: phi_{t+1} = g_t and phi_{i+1} = phi_i
+read one cycle on XOR g_i.  Bit i of the state mapping absorbs phi_i, and
+the collapse is the top bit's shift term XOR phi_n, one bit past the top.
+``map_system_state``, the one state-mapping routine, and the mapped check
+share one preparation of the pair, walk included, over the whole layout.
 
 The exact checker takes the first L >= n bits of every state's output
 prefix from one bitsliced walk of L cycles over all states.  Equal L-bit
@@ -41,6 +43,7 @@ from .anf import (
     Anf,
     ForeignVariableError,
     Term,
+    Var,
     parse_term,
     remap_indices,
     term_sort_key,
@@ -210,9 +213,11 @@ def check_uniform(spec: RegisterSpec, terminal: int | None = None) -> Uniformity
     """Check singularity of every feedback and the terminal-bit index bound.
 
     ``terminal`` defaults to the structural terminal bit; a caller may
-    pass a lower declared terminal to check against instead.  Variables
-    of other registers are exempt from the index bound: they ride along
-    unshifted and have no position in this register's coordinates.
+    pass a lower declared terminal to check against instead.  The index
+    bound holds from the terminal bit up: no tail, the terminal bit's
+    included, reads an own bit above the terminal.  Variables of other
+    registers are exempt: they ride along unshifted and have no position
+    in this register's coordinates.
     """
     structural = terminal_bit(spec)
     t = structural if terminal is None else terminal
@@ -236,7 +241,7 @@ def check_uniform(spec: RegisterSpec, terminal: int | None = None) -> Uniformity
                     bit, "depends-on-successor", f"logic besides the shift uses {shift_var}"
                 )
             )
-        elif bit > t:
+        else:
             bad = sorted(
                 {v.idx for v in g.support() if v.reg == spec.id and v.idx > t}
             )
@@ -418,110 +423,122 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     return Distribution(final, script)
 
 
-def _lift(spec: RegisterSpec) -> tuple[dict[Term, list[int]], int]:
-    """Every tail's terms moved to the top bit, with the bits each comes from.
+def _phi(spec: RegisterSpec) -> tuple[list[tuple[int, set[frozenset[int]]]], RegisterSpec]:
+    """The lift of every tail towards the top, in one walk up from the terminal bit t.
 
-    The tail of bit i is remapped by (n-1) - i, the shift that undoes
-    moving it down from the top bit, and must be singular below the top.
-    Returns the lifted terms, each with its source bits in ascending
-    order, and the XOR of the tails' constants.
+    phi_{t+1} = g_t and phi_{i+1} = phi_i read one cycle on (every own
+    index + 1, mod n as ``apply_shift`` takes it) XOR g_i: phi_i is what
+    bit i of the Galois register has mixed in that the Fibonacci one has
+    not.  Returns phi_{t+1} .. phi_{n-1}, the state mapping's fixups, each
+    as its constant and its products' own-index sets; and the collapse:
+    the top bit's shift term XOR phi_n, the value one bit past the top.
+    Every tail below the top must be singular and read only this register.
     """
     n = spec.length
     top = n - 1
-    sources: dict[Term, list[int]] = {}
-    const = 0
-    for bit in spec.explicit_bits():
-        g = spec.tail(bit) if bit == top else feedback_tail(spec, bit)
-        terms = g.terms if bit == top else remap_indices(g.terms, spec.id, top - bit, n)
-        for term in terms:
-            sources.setdefault(term, []).append(bit)
-        const ^= g.const
-    return sources, const
+    phi: set[frozenset[int]] = set()
+    const, phis = 0, []
+    for bit in range(terminal_bit(spec), top):
+        phi = {frozenset((i + 1) % n for i in p) for p in phi}
+        if bit in spec.feedback:  # the tail of a pure shift is 0
+            g = feedback_tail(spec, bit)
+            for v in g.support():
+                if v.reg != spec.id:
+                    raise ForeignVariableError(
+                        f"bit {bit} mixes in {v}; only the top bit may use other registers"
+                    )
+            phi ^= {frozenset(v.idx for v in term.vars) for term in g.terms}
+            const ^= g.const
+        phis.append((const, phi))
+    g = spec.tail(top)
+    lifted = {Term(frozenset(Var(spec.id, (i + 1) % n) for i in p)) for p in phi}
+    collapse = Anf(frozenset(lifted ^ g.terms ^ {Term.of(spec.id, 0)}), const ^ g.const)
+    return phis, RegisterSpec(spec.id, n, {top: collapse})
 
 
 def collapse_to_fibonacci(spec: RegisterSpec) -> RegisterSpec:
     """Undo all shifting: fold every lower bit's logic back into the top bit.
 
-    The top bit becomes its shift term XOR every lifted tail term (see
-    ``_lift``) and the tails' constants.  A term lifted from an even
-    number of bits cancels, which is exactly what exposes an over-shifted
-    configuration.
+    The top bit becomes its shift term XOR phi_n (see ``_phi``).  A term
+    lifted from an even number of bits cancels, which is exactly what
+    exposes an over-shifted configuration.
     """
-    top = spec.length - 1
-    sources, const = _lift(spec)
-    merged = {t for t, bits in sources.items() if len(bits) % 2}
-    merged ^= {Term(frozenset({spec.shift_var(top)}))}
-    return RegisterSpec(spec.id, spec.length, {top: Anf(frozenset(merged), const)})
+    return _phi(spec)[1]
 
 
-def unshift_sources(spec: RegisterSpec) -> dict[Term, tuple[int, ...]]:
-    """Map each collapsed term to the bits it unshifts from (diagnostics)."""
-    return {t: tuple(bits) for t, bits in _lift(spec)[0].items()}
+def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
+    """The bits whose tail, lifted to the top bit, holds ``term`` (diagnostics)."""
+    n = spec.length
+    top = n - 1
+    return tuple(
+        bit
+        for bit in spec.explicit_bits()
+        if term in (
+            spec.tail(bit).terms
+            if bit == top
+            else remap_indices(spec.tail(bit).terms, spec.id, top - bit, n)
+        )
+    )
 
 
-def _state_mapper(galois: SystemSpec) -> Callable[..., list[int]]:
-    """The state-conversion formula alone, without the collapse check.
+def _state_mapper(
+    fib: SystemSpec, galois: SystemSpec
+) -> tuple[Callable[..., list[int]], dict[str, RegisterSpec]]:
+    """The one preparation of a (Fibonacci, Galois) pair: state formula and collapses.
 
-    Prepared once per system, it maps any number of states of the whole
-    layout, one entry per bit in system register order: in each register,
-    bit i > terminal absorbs every tail g_j (terminal <= j < i) read
-    i - 1 - j cycles on, and each product is a tuple of layout indices, so
-    mapping a state evaluates no expression.  Given an all-ones mask
-    ``ones``, it maps many states at once: one word per bit, one state per
-    bit of ``ones``, and a constant sets every state's bit.  Registers are
-    checked in system order, so the first one the formula refuses raises.
+    Both systems must declare the same registers in the same order; no
+    Galois feedback may tap another register above that register's
+    terminal bit, where sequences are not preserved; and every Galois
+    register, in system order, must be uniform and keep other registers
+    out of every bit below the top.  The first rule broken raises.
+
+    The formula maps any number of states of the whole layout, one entry
+    per bit in system register order: in each register, bit i > terminal
+    absorbs phi_i (see ``_phi``), each product a set of the register's
+    own indices, so mapping a state evaluates no expression.  Given an
+    all-ones mask ``ones``, it maps many states at once: one word per bit,
+    one state per bit of ``ones``, and a constant sets every state's bit.
+    The collapses, by register id, come from the same walk.
     """
-    fixups: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
+    signature = tuple((r.id, r.length) for r in fib.registers)
+    if tuple((r.id, r.length) for r in galois.registers) != signature:
+        raise ValueError("systems declare different registers")
+    terminals = {reg.id: terminal_bit(reg) for reg in galois.registers}
+    for reg in galois.registers:
+        for expr in reg.feedback.values():
+            for v in expr.support():
+                if v.reg != reg.id and v.idx > terminals[v.reg]:
+                    raise ValueError(
+                        f"feedback of {reg.id!r} taps {v} above that register's "
+                        f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
+                    )
+    fixups: list[tuple[int, int, int, set[frozenset[int]]]] = []
+    collapses: dict[str, RegisterSpec] = {}
     offset = 0
     for reg in galois.registers:
-        n = reg.length
         report = check_uniform(reg)
         if not report.uniform:
             v = report.violations[0]
             raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
-        t = terminal_bit(reg)
-        indexed = {}
-        for bit in reg.explicit_bits():
-            if t <= bit <= n - 2:
-                g = reg.tail(bit)
-                for v in g.support():
-                    if v.reg != reg.id:
-                        raise ForeignVariableError(
-                            f"bit {bit} mixes in {v}; only the top bit may use other registers"
-                        )
-                indexed[bit] = (
-                    g.const,
-                    [tuple(v.idx for v in term.sorted_vars()) for term in g.sorted_terms()],
-                    max(v.idx for v in g.support()) if g.terms else -1,
-                )
-        for i in range(t + 1, n):
-            const, products = 0, []
-            for j, (g_const, g_products, g_top) in indexed.items():
-                if j >= i:
-                    continue
-                lag = i - 1 - j
-                if g_top + lag >= n:
-                    raise ValueError(f"bit {j} reaches past the register after {lag} cycles")
-                const ^= g_const
-                shift = offset + lag  # layout index of bit idx, lag cycles on
-                products += [tuple(shift + idx for idx in product) for product in g_products]
-            fixups.append((offset + i, const, tuple(products)))
-        offset += n
+        phis, collapses[reg.id] = _phi(reg)
+        start = terminals[reg.id] + 1
+        fixups += [(offset, i, const, phi) for i, (const, phi) in enumerate(phis, start)]
+        offset += reg.length
 
     def mapped(state: Sequence[int], ones: int = 1) -> list[int]:
         bits = [int(b) & ones for b in state]
         out = list(bits)
-        for i, const, products in fixups:
+        for offset, i, const, products in fixups:
             acc = ones if const else 0
             for product in products:
                 value = ones
                 for idx in product:
-                    value &= bits[idx]
+                    value &= bits[offset + idx]
                 acc ^= value
-            out[i] ^= acc
+            out[offset + i] ^= acc
         return out
 
-    return mapped
+    return mapped, collapses
 
 
 def map_system_state(
@@ -532,19 +549,15 @@ def map_system_state(
     In every register, bits up to the terminal bit copy over unchanged;
     each higher bit absorbs the feedback contributions the Galois register
     would have mixed in on the way to producing the same output window.
-    Both systems must declare the same registers in the same order, and
-    every target register must be uniform, keep foreign variables out of
-    every bit below the top and collapse back to its source register.
-    The cycle count is kept.
+    The state must conform to the source system, the pair must pass
+    ``_state_mapper``'s rules, and every target register must collapse
+    back to its source register.  The cycle count is kept.
     """
-    signature = tuple((r.id, r.length) for r in fib_system.registers)
-    if tuple((r.id, r.length) for r in galois_system.registers) != signature:
-        raise ValueError("systems declare different registers")
-    if state.signature() != signature:
+    if state.signature() != tuple((r.id, r.length) for r in fib_system.registers):
         raise ValueError("state does not conform to the source system")
-    mapper = _state_mapper(galois_system)
-    for reg in galois_system.registers:
-        if collapse_to_fibonacci(reg) != fib_system.register(reg.id):
+    mapper, collapses = _state_mapper(fib_system, galois_system)
+    for reg in fib_system.registers:
+        if collapses[reg.id] != reg:
             raise ValueError(
                 f"target register {reg.id!r} does not collapse to the source register"
             )
@@ -754,41 +767,27 @@ def check_equivalence_mapped(
     alone and one cycle at a time, to find its first divergent cycle,
     register and bit.
 
-    The conversion is deliberately the bare formula, not
-    ``map_system_state``: collapse equality is what the simulation tests,
-    so it is not demanded up front, and a corrupted register surfaces as
-    an unequal verdict with its divergence point, not as an error.
+    The pair is prepared by ``_state_mapper``, so this check and
+    ``map_system_state`` refuse the same pairs with the same messages.
+    Unlike ``map_system_state`` it does not compare the collapses:
+    collapse equality is what the simulation tests, so a corrupted
+    register surfaces as an unequal verdict with its divergence point,
+    not as an error.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
-    ids = fib_system.register_ids()
-    if ids != galois_system.register_ids():
-        raise ValueError("systems declare different registers")
-    terminals: dict[str, int] = {}
-    for rid in ids:
-        f, g = fib_system.register(rid), galois_system.register(rid)
-        if f.length != g.length:
-            raise ValueError(f"register {rid!r} lengths differ")
-        terminals[rid] = terminal_bit(g)
-    for reg in galois_system.registers:
-        for expr in reg.feedback.values():
-            for v in expr.support():
-                if v.reg != reg.id and v.idx > terminals[v.reg]:
-                    raise ValueError(
-                        f"feedback of {reg.id!r} taps {v} above that register's "
-                        f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
-                    )
+    # Prepared once per check: a pair the preparation refuses raises
+    # before anything is drawn, whatever the trial count.
+    mapper = _state_mapper(fib_system, galois_system)[0]
+    terminals = {reg.id: terminal_bit(reg) for reg in galois_system.registers}
     k = _mapped_degree(fib_system, galois_system, terminals)
-    # Prepared once per check; a register the formula refuses raises
-    # before anything is drawn, as it always has.
-    mapper = _state_mapper(galois_system) if trials else None
     if not cycles:
         return MappedVerdict(True, trials, cycles)
 
     # Both systems declare the same registers in the same order, so they
-    # share one layout: the bits of ids[0], then of ids[1], and so on.
+    # share one layout: each register's bits in turn, in system order.
     compared, width = [], 0
     for reg in galois_system.registers:
         compared.append((width, width + terminals[reg.id] + 1))
@@ -841,7 +840,7 @@ def check_equivalence_mapped(
     alone = ([w >> lowest & 1 for w in words] for words in (fib_start, gal_start))
     _, cycle, fib_words, gal_words = run(*alone, 1, 1)
     # the first differing plane in layout order: lowest register, then bit
-    for rid, (a, b) in zip(ids, compared):
+    for rid, (a, b) in zip(terminals, compared):
         for p in range(a, b):
             if fib_words[p] != gal_words[p]:
                 point = DivergencePoint(first + lowest, rid, cycle, p - a)

@@ -122,7 +122,7 @@ def test_criterion_04_collapse_reconstruction():
     dup = parse_term("b[3]*b[67]")
     assert got != want
     assert got.feedback[127].terms ^ want.feedback[127].terms == {dup}
-    assert unshift_sources(bad)[dup] == (124, 127)
+    assert unshift_sources(bad, dup) == (124, 127)
     print(
         "ACCEPTANCE 4 PASS: collapse reconstructs every printed feedback; "
         "as-printed duplicate b[3]*b[67] detected"

@@ -454,6 +454,18 @@ def test_transform_rejects_bad_script(tmp_path, capsys):
     assert rc == 1 and "rejected" in err
 
 
+def test_transform_refuses_a_script_whose_remap_wraps(tmp_path, capsys):
+    # r[1] moved two bits down remaps to r[5], mod 6, above the new terminal 3
+    spec, script = tmp_path / "wrap.fsr", tmp_path / "moves.txt"
+    spec.write_text("system wrap\nregister r 6\nfeedback r[5] = r[0] + r[1] + r[2]*r[3]\n")
+    script.write_text("shift r 5 -> 3 : r[1]\n")
+    rc, out, err = run_cli(
+        capsys, "transform", "--spec", str(spec), "--register", "r", "--script", str(script)
+    )
+    assert (rc, out) == (1, "")
+    assert err == "script rejected: move 0 breaks uniformity: bit 3 index-above-terminal\n"
+
+
 def test_map_state_matches_equivalence_initialization(capsys):
     gal = variant("grain80-galois-1")
     fib = gal.fib_variant()

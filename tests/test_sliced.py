@@ -221,7 +221,7 @@ def test_lane_word_mapping_sets_constants_in_every_instance(rng):
 
 
 def _check_lane_mapping(system, rng):
-    mapper = transform._state_mapper(system)
+    mapper = transform._state_mapper(system, system)[0]
     width = sum(r.length for r in system.registers)
     states = [[rng.randrange(2) for _ in range(width)] for _ in range(37)]
     lanes = [sum(s[i] << t for t, s in enumerate(states)) for i in range(width)]

@@ -6,12 +6,21 @@ import pytest
 
 from grainkit import variant
 from grainkit import transform
-from grainkit.anf import Anf, ForeignVariableError, Term, evaluate, parse_expr, parse_term
-from grainkit.engine import RegisterSpec, SystemSpec, SystemState, run, step
+from grainkit.anf import (
+    Anf,
+    ForeignVariableError,
+    Term,
+    evaluate,
+    parse_expr,
+    parse_term,
+    remap_indices,
+)
+from grainkit.engine import OutputSpec, RegisterSpec, SystemSpec, SystemState, run, step
 from grainkit.transform import (
     DivergencePoint,
     MissingTermError,
     ShiftMove,
+    Violation,
     allowed_feedback_positions,
     apply_shift,
     auto_distribute,
@@ -59,6 +68,11 @@ def fib4():
 
 def gal4():
     return RegisterSpec("r", 4, {2: parse_expr("r[3] + r[0]*r[1]")})
+
+
+def wrapped():
+    """``shift r 5 -> 3 : r[1]`` on r[5] = r[0] + r[1] + r[2]*r[3]: r[1] remaps to r[5], mod 6."""
+    return RegisterSpec("r", 6, {5: parse_expr("r[0] + r[2]*r[3]"), 3: parse_expr("r[4] + r[5]")})
 
 
 # ---------------------------------------------------------------- terminal bits
@@ -380,6 +394,12 @@ def _collapse_cases():
         3: parse_expr("r[4] + r[0]*r[1] + 1"),
         2: parse_expr("r[3] + r[0] + 1"),
     })
+    yield wrapped()  # the lift wraps mod n, as apply_shift's remap does
+    yield RegisterSpec("r", 6, {  # r[5] of bit 3 wraps to r[0] at bit 4, and cancels there
+        5: parse_expr("r[0] + r[2]*r[3]"),
+        4: parse_expr("r[5] + r[0]"),
+        3: parse_expr("r[4] + r[5]"),
+    })
     rng = random.Random(0x5EED)  # the registers of acceptance criterion 5
     for _ in range(100):
         yield _random_uniform_transformation(rng)[1]
@@ -390,12 +410,19 @@ def test_collapse_matches_moving_every_tail_to_the_top():
     for spec in _collapse_cases():
         got = collapse_to_fibonacci(spec)
         assert got == _collapse_by_moves(spec), spec
-        # the diagnostics walk the same lift: odd-count terms are the collapse
-        top = spec.length - 1
-        odd = {t for t, bits in transform.unshift_sources(spec).items() if len(bits) % 2}
-        assert odd ^ {Term.of(spec.id, 0)} == got.expr(top).terms
+        # the diagnostics read the same lift: a term that some tail lifts to
+        # the top, or that the collapse holds, is in the collapse exactly
+        # when an odd number of bits lift it
+        top, shift = spec.length - 1, Term.of(spec.id, 0)
+        lifted = set(spec.tail(top).terms).union(*(
+            remap_indices(spec.tail(bit).terms, spec.id, top - bit, spec.length)
+            for bit in spec.explicit_bits() if bit != top
+        ))
+        for term in (lifted | got.expr(top).terms) - {shift}:
+            odd = len(transform.unshift_sources(spec, term)) % 2
+            assert odd == (term in got.expr(top).terms), (spec, term)
         cases += 1
-    assert cases == 36 + 1 + 100
+    assert cases == 36 + 3 + 100
 
 
 # ---------------------------------------------------------- state mapping
@@ -475,6 +502,71 @@ def test_map_system_state_keeps_fibonacci_form_registers(name, rng):
                 assert mapped.bits(reg.id) == state.bits(reg.id)
 
 
+def test_uniformity_bounds_the_terminal_bit_too():
+    # the wrapped register collapses back to its source, yet it is not
+    # equivalent: the index bound alone refuses it
+    source = RegisterSpec("r", 6, {5: parse_expr("r[0] + r[1] + r[2]*r[3]")})
+    assert collapse_to_fibonacci(wrapped()) == source
+    assert not check_equivalence_exhaustive(source, wrapped()).equal
+    report = check_uniform(wrapped())
+    assert not report.uniform
+    assert report.violations == (Violation(3, "index-above-terminal", "r[5] exceeds terminal 3"),)
+
+
+def _toy_tapping_pair():
+    """Galois ``s`` has terminal bit 7, so its s[8] no longer replays the Fibonacci s[8].
+
+    Fibonacci ``b`` taps s[8], and so does the Galois ``b``.
+    """
+    b = RegisterSpec("b", 8, {7: parse_expr("b[0] + s[8] + b[2]*b[5]")})
+    fib_s = RegisterSpec("s", 10, {9: parse_expr("s[0] + s[3] + s[2]*s[6]")})
+    gal_s = RegisterSpec("s", 10, {9: parse_expr("s[0] + s[3]"), 7: parse_expr("s[8] + s[0]*s[4]")})
+    z = [OutputSpec("Z", parse_expr("b[0] + s[0]"))]
+    return SystemSpec([b, fib_s], z), SystemSpec([b, gal_s], z)
+
+
+def _refusals(fib_sys, gal_sys):
+    """What ``map_system_state`` and ``check_equivalence_mapped`` raise on a pair."""
+    refused = []
+    for call in (
+        lambda: map_system_state(fib_sys, gal_sys, SystemState.zeros(fib_sys)),
+        lambda: check_equivalence_mapped(fib_sys, gal_sys, trials=10, cycles=10, seed=1),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        refused.append((type(info.value), str(info.value)))
+    return refused
+
+
+def test_state_mapping_and_mapped_check_share_one_pair_rule():
+    wider = SystemSpec([fib4(), RegisterSpec("q", 2)])
+    cases = [
+        (_toy_tapping_pair(), "feedback of 'b' taps s[8] above that register's terminal bit 7; "
+                              "sequences there are not preserved"),
+        ((SystemSpec([fib4()]), SystemSpec([RegisterSpec("r", 5)])),
+         "systems declare different registers"),
+        ((SystemSpec([fib4()]), SystemSpec([RegisterSpec("r", 4, {2: parse_expr("r[0]*r[1]")})])),
+         "target register is not uniform: bit 2 non-singular"),
+        ((wider, SystemSpec([RegisterSpec("r", 4, {2: parse_expr("r[3] + q[0]")}),
+                             RegisterSpec("q", 2)])),
+         "bit 2 mixes in q[0]; only the top bit may use other registers"),
+    ]
+    for pair, message in cases:
+        refused = _refusals(*pair)
+        assert refused[0] == refused[1], refused
+        assert refused[0][1] == message
+
+
+def test_map_system_state_walks_each_register_once(monkeypatch):
+    walked = []
+    real = transform._phi
+    monkeypatch.setattr(transform, "_phi", lambda spec: walked.append(spec.id) or real(spec))
+    v = variant("grain128-galois-4")
+    fib = v.fib_variant()
+    map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
+    assert sorted(walked) == ["b", "s"]
+
+
 def test_map_system_state_refuses_as_printed_collapse():
     v = variant("grain128-galois-1", "as-printed")
     fib = v.fib_variant()
@@ -485,9 +577,10 @@ def test_map_system_state_refuses_as_printed_collapse():
 @pytest.mark.parametrize("flavour", ["official", "as-printed"])
 @pytest.mark.parametrize("name", GALOIS_VARIANTS)
 def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
-    """The index-tuple form equals evaluating each lagged tail with ``evaluate``."""
-    system = variant(name, flavour).system
-    mapper = transform._state_mapper(system)
+    """The prepared formula equals evaluating each lagged tail with ``evaluate``."""
+    v = variant(name, flavour)
+    system = v.system
+    mapper = transform._state_mapper(v.fib_variant().system, system)[0]
     for _ in range(3):
         layout, want = [], []
         for galois in system.registers:
@@ -627,6 +720,12 @@ def test_mapped_equivalence_zero_trials_vacuous():
     fib = variant("grain80-fib").system
     gal = variant("grain80-galois-1").system
     assert check_equivalence_mapped(fib, gal, trials=0, cycles=100, seed=1).equal
+
+
+def test_mapped_equivalence_zero_trials_still_prepares_the_pair():
+    non_uniform = SystemSpec([RegisterSpec("r", 4, {2: parse_expr("r[0]*r[1]")})])
+    with pytest.raises(ValueError, match="target register is not uniform: bit 2 non-singular"):
+        check_equivalence_mapped(SystemSpec([fib4()]), non_uniform, trials=0, cycles=100, seed=1)
 
 
 def test_mapped_equivalence_refuses_negative_counts():
