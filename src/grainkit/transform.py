@@ -26,7 +26,8 @@ share one preparation of the pair, walk included, over the whole layout.
 The exact checker takes the first L >= n bits of every state's output
 prefix from one bitsliced walk of L cycles over all states.  Equal L-bit
 prefixes are the partition that refinement from single bits would reach
-at L, so refinement by doubling only covers the rest of the horizon.
+at L, so refinement by doubling only covers the rest of the horizon, and
+it stops at the first length where the two sides' prefix multisets differ.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 from .anf import (
@@ -486,11 +488,13 @@ def _state_mapper(
 ) -> tuple[Callable[..., list[int]], dict[str, RegisterSpec]]:
     """The one preparation of a (Fibonacci, Galois) pair: state formula and collapses.
 
-    Both systems must declare the same registers in the same order; no
-    Galois feedback may tap another register above that register's
-    terminal bit, where sequences are not preserved; and every Galois
-    register, in system order, must be uniform and keep other registers
-    out of every bit below the top.  The first rule broken raises.
+    Both systems must declare the same registers in the same order, and
+    the same outputs and injections; every injection must land on its
+    register's top bit; no output, and no Galois feedback of another
+    register, may tap a bit above a register's terminal bit, where
+    sequences are not preserved; and every Galois register, in system
+    order, must be uniform and keep other registers out of every bit below
+    the top.  The first rule broken raises.
 
     The formula maps any number of states of the whole layout, one entry
     per bit in system register order: in each register, bit i > terminal
@@ -503,15 +507,30 @@ def _state_mapper(
     signature = tuple((r.id, r.length) for r in fib.registers)
     if tuple((r.id, r.length) for r in galois.registers) != signature:
         raise ValueError("systems declare different registers")
+    for mine, theirs in zip_longest(galois.outputs, fib.outputs):
+        if mine != theirs:
+            raise ValueError(f"output {(mine or theirs).name!r} differs from the source system's")
+    if galois.injections != fib.injections:
+        raise ValueError("systems declare different injections")
+    for inj in galois.injections:
+        top = galois.register(inj.register).length - 1
+        if inj.bit != top:
+            raise ValueError(
+                f"injection of {inj.output!r} into {inj.register}[{inj.bit}] "
+                f"misses that register's top bit {top}"
+            )
     terminals = {reg.id: terminal_bit(reg) for reg in galois.registers}
-    for reg in galois.registers:
-        for expr in reg.feedback.values():
-            for v in expr.support():
-                if v.reg != reg.id and v.idx > terminals[v.reg]:
-                    raise ValueError(
-                        f"feedback of {reg.id!r} taps {v} above that register's "
-                        f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
-                    )
+    # (expression, the register it may read above terminals, its name)
+    taps = [(out.expr, None, out.name) for out in galois.outputs]
+    taps += [(expr, reg.id, reg.id) for reg in galois.registers for expr in reg.feedback.values()]
+    for expr, own, name in taps:
+        for v in expr.support():
+            if v.reg != own and v.idx > terminals[v.reg]:
+                where = "output" if own is None else "feedback of"
+                raise ValueError(
+                    f"{where} {name!r} taps {v} above that register's "
+                    f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
+                )
     fixups: list[tuple[int, int, int, set[frozenset[int]]]] = []
     collapses: dict[str, RegisterSpec] = {}
     offset = 0
@@ -645,8 +664,8 @@ _SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 def _prefix_classes(
     spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int
-) -> tuple[list[int], int]:
-    """Number the states of both registers by their first ``horizon`` output bits.
+) -> tuple[list[int], int, bool]:
+    """Number the states of both registers by their output prefixes, up to ``horizon`` bits.
 
     Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
     still the output bit).  The classes start at L = the shortest leading
@@ -655,14 +674,21 @@ def _prefix_classes(
     ``_walk`` are numbered alike.  Refinement then doubles over the
     remaining digits: given the classes of L-bit prefixes and the L-step
     successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes, and for a
-    set digit (s & 1, cls[succ[s]]) the (L + 1)-bit ones.  A round that
-    splits no class ends refinement: longer prefixes separate nothing more,
-    so the classes of the length before that round are those of the
-    horizon.  Returns the classes and that length (the horizon when every
-    round split a class).  Each strict refinement adds a class, so the
-    partition of the 2**(n+1) entries is stable from some length below
-    2**(n+1), and the returned length is below 2**(n+2).  Returning drops
-    the seed and round tables before the caller builds a witness.
+    set digit (s & 1, cls[succ[s]]) the (L + 1)-bit ones.
+
+    The two sides' class multisets are compared after the seed numbering
+    and after every round that splits a class, and refinement stops at the
+    first length where they differ: the prefixes of every longer length
+    refine those, so their multisets differ too.  A round that splits no
+    class ends refinement with the multisets equal: longer prefixes
+    separate nothing more, so the classes of the length before that round
+    are those of the horizon.  Returns the classes, their length (the
+    horizon when every round split a class and the multisets stayed
+    equal) and whether the multisets are equal.  Each strict refinement
+    adds a class, so the partition of the 2**(n+1) entries is stable from
+    some length below 2**(n+1), and the returned length is below
+    2**(n+2).  Returning drops the seed and round tables before the caller
+    builds a witness.
     """
     n = spec_a.length
     size = 1 << n
@@ -673,9 +699,11 @@ def _prefix_classes(
     cls = [ids.setdefault(p, len(ids)) for part in (pa, pb) for p in part]
     count = len(ids)
     del pa, pb, ids  # the seed prefixes are numbered; drop them before the rounds
+    length, rest = int(digits[:lead], 2), digits[lead:]
+    if not _balanced(cls, size):
+        return cls, length, False
     jump += [size + t for t in jb]
     del jb
-    length, rest = int(digits[:lead], 2), digits[lead:]
     out = succ = []  # the unit-step rounds' tables, built only when a digit needs them
     if "1" in rest:
         succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
@@ -685,11 +713,18 @@ def _prefix_classes(
             ids = {}
             refined = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
             if len(ids) == count:
-                return cls, length
+                return cls, length, True
             cls, count = refined, len(ids)
             length = length + 1 if step is succ else 2 * length
+            if not _balanced(cls, size):
+                return cls, length, False
             jump = [jump[t] for t in step]
-    return cls, length
+    return cls, length, True
+
+
+def _balanced(cls: list[int], size: int) -> bool:
+    """Whether every class holds as many of the first ``size`` entries as of the rest."""
+    return sorted(cls[:size]) == sorted(cls[size:])
 
 
 def check_equivalence_exhaustive(
@@ -704,12 +739,15 @@ def check_equivalence_exhaustive(
     sliced ``_walk`` of L cycles: states with equal L-bit prefixes are the
     very classes that refinement from single bits reaches at L, so only the
     rest of the horizon is refined by doubling, and only until a round
-    splits nothing.  Memory is O(2**n) whatever the horizon.
+    splits nothing or the two sides' class multisets differ.  Memory is
+    O(2**n) whatever the horizon.
 
     An unequal verdict names the first state of ``spec_a`` whose class is
-    unbalanced, with its output prefix up to the length where the classes
-    stopped splitting: that prefix occurs a different number of times on
-    the two sides.  It is not necessarily the shortest such prefix.
+    unbalanced at the first checked length where the multisets differ,
+    with its output prefix of that length: that prefix occurs a different
+    number of times on the two sides.  It is not necessarily the shortest
+    such prefix; a shorter one may lie between the last two checked
+    lengths.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -722,8 +760,8 @@ def check_equivalence_exhaustive(
     if horizon < 1:
         raise ValueError("horizon must be positive")
     size = 1 << n
-    cls, length = _prefix_classes(spec_a, spec_b, horizon)
-    if sorted(cls[:size]) == sorted(cls[size:]):
+    cls, length, equal = _prefix_classes(spec_a, spec_b, horizon)
+    if equal:
         return ExhaustiveVerdict(True, size, horizon)
     # Both sides hold 2**n states, so some unbalanced class holds more of
     # side a than of side b: the first unbalanced state is always on side a.
@@ -773,6 +811,12 @@ def check_equivalence_mapped(
     collapse equality is what the simulation tests, so a corrupted
     register surfaces as an unequal verdict with its divergence point,
     not as an error.
+
+    So ``equal`` covers the registers, with no mode active, over the
+    trials and cycles run.  Outputs and injections are not simulated.
+    The pair rule makes the outputs the same expressions over bits at or
+    below the terminals, so they agree wherever the compared bits do, and
+    the injections the same ones, each on its register's top bit.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")

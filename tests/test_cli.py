@@ -225,7 +225,7 @@ def test_verify_equivalence_exhaustive_huge_horizon_gives_a_short_witness(tmp_pa
         "--horizon", str(1 << 64),
     )
     assert time.perf_counter() - start < 0.5
-    # the classes stop splitting at 8 bits, so the default horizon's witness is the same
+    # the prefix multisets first differ at 8 bits, so the default horizon's witness is the same
     assert (rc, out) == (1, "unequal: initial state 3, prefix 11001101\n")
     assert run_cli(
         capsys, "verify", "equivalence", "--a", str(a), "--b", str(c), "--exhaustive",

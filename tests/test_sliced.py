@@ -46,8 +46,13 @@ def reference_trials(fib_system, gal_system, trials, seed):
     width = sum(n for _, n in lengths)
     # map_system_state demands that the target collapse to the source; the
     # check deliberately does not, so the source is the target's own
-    # collapse, which leaves the formula alone.
-    collapsed = SystemSpec([collapse_to_fibonacci(r) for r in gal_system.registers])
+    # collapse, which leaves the formula alone.  Its outputs and injections
+    # are the target's, as the pair rule demands.
+    collapsed = SystemSpec(
+        [collapse_to_fibonacci(r) for r in gal_system.registers],
+        gal_system.outputs,
+        gal_system.injections,
+    )
     for _ in range(trials):
         drawn, bits = rng.getrandbits(width), {}
         for rid, n in lengths:

@@ -14,8 +14,17 @@ from grainkit.anf import (
     parse_expr,
     parse_term,
     remap_indices,
+    xor_merge,
 )
-from grainkit.engine import OutputSpec, RegisterSpec, SystemSpec, SystemState, run, step
+from grainkit.engine import (
+    Injection,
+    OutputSpec,
+    RegisterSpec,
+    SystemSpec,
+    SystemState,
+    run,
+    step,
+)
 from grainkit.transform import (
     DivergencePoint,
     MissingTermError,
@@ -557,6 +566,55 @@ def test_state_mapping_and_mapped_check_share_one_pair_rule():
         assert refused[0][1] == message
 
 
+def _with_z(system: SystemSpec, terms=(), injections=None) -> SystemSpec:
+    """``system`` with ``terms`` XORed into its ``Z`` output, and other injections if given."""
+    outputs = [
+        OutputSpec(o.name, xor_merge(o.expr, set(terms)), o.refs) if o.name == "Z" else o
+        for o in system.outputs
+    ]
+    injections = system.injections if injections is None else injections
+    return SystemSpec(system.registers, outputs, injections, system.params)
+
+
+def test_pair_rule_covers_outputs_and_injections(rng):
+    v = variant("grain80-galois-1")
+    fib, gal = v.fib_variant().system, v.system
+    b70 = [Term.of("b", 70)]  # above the Galois b's terminal bit 63
+    fib70, gal70 = _with_z(fib, b70), _with_z(gal, b70)
+    moved = tuple(
+        Injection("init", "b", 78, "Z") if inj.register == "b" else inj for inj in gal.injections
+    )
+    cases = [
+        ((fib, gal70), "output 'Z' differs from the source system's"),
+        ((fib, _with_z(gal, [Term.of("b", 56)])), "output 'Z' differs from the source system's"),
+        ((fib, _with_z(gal, injections=moved)), "systems declare different injections"),
+        ((fib70, gal70),
+         "output 'Z' taps b[70] above that register's terminal bit 63; "
+         "sequences there are not preserved"),
+        ((_with_z(fib, injections=moved), _with_z(gal, injections=moved)),
+         "injection of 'Z' into b[78] misses that register's top bit 79"),
+    ]
+    for pair, message in cases:
+        assert _refusals(*pair) == [(ValueError, message)] * 2
+    # the tap rule refuses a pair whose keystreams differ although the
+    # registers replay each other: b[70] is not a Fibonacci bit on the Galois side
+    state = SystemState.from_bits(fib, {r.id: rand_bits(rng, r.length) for r in fib.registers})
+    mapped = map_system_state(fib, gal, state)
+    assert run(fib, state, 200, watch=["Z"])[0] == run(gal, mapped, 200, watch=["Z"])[0]
+    assert run(fib70, state, 200, watch=["Z"])[0] != run(gal70, mapped, 200, watch=["Z"])[0]
+
+
+@pytest.mark.parametrize("flavour", ["official", "as-printed"])
+@pytest.mark.parametrize("name", GALOIS_VARIANTS)
+def test_pair_rule_accepts_every_bundled_variant(name, flavour):
+    v = variant(name, flavour)
+    fib = v.fib_variant().system
+    collapses = transform._state_mapper(fib, v.system)[1]
+    collapsed = {rid: reg == fib.register(rid) for rid, reg in collapses.items()}
+    # as printed, grain128-galois-1 carries b[3]*b[67] twice and does not collapse
+    assert all(collapsed.values()) == ((name, flavour) != ("grain128-galois-1", "as-printed"))
+
+
 def test_map_system_state_walks_each_register_once(monkeypatch):
     walked = []
     real = transform._phi
@@ -615,34 +673,34 @@ def _assert_witness(ce, n: int, horizon: int, px: list, py: list) -> None:
     """Check an unequal verdict's witness against brute-force prefixes of both sides.
 
     ``px`` and ``py`` hold every state's first min(horizon, 2**(n+2)) output
-    bits or more.  Refinement over the 2**(n+1) states of both sides is
-    stable from 2**(n+1) - 1 bits (Moore), so those prefixes class the
-    states as the horizon does.  The witness state is the first state, side
-    a before side b, whose prefix occurs a different number of times on the
-    two sides, and it lies on side a.  Its prefix is that state's prefix cut
-    where the classes stopped splitting: at the first checked length whose
-    next checked length has no more distinct prefixes over both sides (the
-    horizon when there is none), and the cut prefix's counts differ too.
+    bits or more.  The witness length is the first checked length at which
+    the two sides' multisets of prefixes cut there differ.  Longer prefixes
+    refine shorter ones, so that length is at most the one where refinement
+    over the 2**(n+1) states of both sides is stable, below 2**(n+1) bits
+    (Moore), and the cut prefixes hold it.  The witness state is the first
+    state, side a before side b, whose cut prefix occurs a different number
+    of times on the two sides, and it lies on side a; the witness prefix is
+    that cut prefix.
     """
     longest = min(horizon, 4 << n)
     px, py = [p[:longest] for p in px], [p[:longest] for p in py]
     assert {len(p) for p in px + py} == {longest}
-    cx, cy = Counter(px), Counter(py)
+    for length in _checked_lengths(n, horizon):
+        cut = [p[:length] for p in px], [p[:length] for p in py]  # p[:m] is p past longest
+        cx, cy = Counter(cut[0]), Counter(cut[1])
+        if cx != cy:
+            break
+    else:
+        raise AssertionError("the multisets of prefixes agree at every checked length")
+    assert length <= longest
     side, state, prefix = next(
         (side, state, p)
-        for side, prefixes in (("a", px), ("b", py))
+        for side, prefixes in zip("ab", cut)
         for state, p in enumerate(prefixes)
         if cx[p] != cy[p]
     )
     assert side == "a"
-    lengths = _checked_lengths(n, horizon)
-    classes = [len({p[:m] for p in px + py}) for m in lengths]  # p[:m] is p past longest
-    stop = next((i for i in range(len(lengths) - 1) if classes[i] == classes[i + 1]), None)
-    length = horizon if stop is None else lengths[stop]
-    assert length <= longest
-    assert (ce.state, ce.prefix) == (state, prefix[:length])
-    cut = Counter(p[:length] for p in px), Counter(p[:length] for p in py)
-    assert cut[0][ce.prefix] != cut[1][ce.prefix]
+    assert (ce.state, ce.prefix) == (state, prefix)
 
 
 def test_exhaustive_four_bit_pair_is_equal():
@@ -1072,6 +1130,34 @@ def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
                 _assert_witness(verdict.counterexample, n, horizon, px, py)
     assert min(paths.values()) >= 10 and len(paths) == 4, paths
     assert unequal >= 50, unequal
+
+
+def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
+    # A seeded 14-bit benchmark-style pair: a Galois register with one
+    # variable of one term swapped.  Its classes keep splitting up to 256
+    # bits, but its 16-bit prefix multisets already differ, so the verdict
+    # comes from the seed numbering's comparison and no round runs.
+    a = RegisterSpec("r", 14, {
+        13: parse_expr("r[0] + r[4]*r[8]*r[11] + r[6]*r[9]*r[10] + r[8]*r[11]"),
+    })
+    b = RegisterSpec("r", 14, {
+        12: parse_expr("r[13] + r[5]*r[8]*r[9]"),
+        11: parse_expr("r[12] + r[2]*r[9]*r[13]"),
+        10: parse_expr("r[11] + r[5]*r[8]"),
+    })
+    compared = []
+    real = transform._balanced
+    monkeypatch.setattr(
+        transform, "_balanced", lambda cls, size: compared.append(len(cls)) or real(cls, size)
+    )
+    verdict = check_equivalence_exhaustive(a, b)
+    assert not verdict.equal and verdict.horizon == 1 << 14
+    assert compared == [2 << 14]
+    px, py = _walked_prefixes(a, 32), _walked_prefixes(b, 32)
+    assert len(set(px + py)) > len({p[:16] for p in px + py})  # still splitting at 32 bits
+    # the default horizon checks 16 bits, then 32, as horizon 32 does
+    _assert_witness(verdict.counterexample, 14, 32, px, py)
+    assert len(verdict.counterexample.prefix) == 16
 
 
 def test_exhaustive_check_memory_grows_with_states_not_horizon():
