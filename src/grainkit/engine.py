@@ -13,16 +13,29 @@ packed words and builds one state at the end.
 
 Lane form.  Every feedback is written ``f_j = x[(j+1) mod n] ^ g_j``, a
 rotation plus a tail.  Let ``G_j`` be the k-lane word whose lane m holds
-``g_j`` at cycle m (plus any injected output at cycle m).  Then k cycles
-are one step: ``w' = rotr(w, k) ^ XOR_j rotl(G_j, j - k + 1)`` within the
-register's length, and tap v reads ``rotr(w, v) & (2^k - 1)`` XOR
-``(G_{v+i} << (i + 1)) & (2^k - 1)`` for each window bit v+i, i < k - 1.
-Taps, windows and outputs are evaluated in dependency order, so a k is
-legal when those dependencies have no cycle; one test, a topological sort
-of the dependency graph at k, decides that both for the kernel and for
-the largest legal k.  ``run`` takes ``cycles // k`` lane steps at the
-largest legal k for its modes (at most the shortest register's length)
-and the remainder as unit steps (k = 1).
+``g_j`` at cycle m (plus any injected output at cycle m).  Each register
+keeps one word per step, ``x = w ^ XOR_j (G_j << (j + 1))``: each window
+is XORed in once, right after it is computed, and the step ends with
+``w' = rotr(x, k)``.  Tap v reads ``(x >> v) & (2^k - 1)``, plus
+``x << (n - v)`` when the read crosses the top.  A window already in x
+reaches the tap ``j + 1 - v`` lanes up (and ``n`` more through the fold),
+while the tap needs it ``(j - v) mod n + 1`` lanes up; every shift in one
+set and not the other, below k in size, XORs the window in once more.
+The kernels that keystream generation runs on the bundled Grain
+configurations need no such term.  Taps, windows and outputs are evaluated in
+dependency order, so a k is legal when those dependencies have no cycle;
+one test, a topological sort of the dependency graph at k, decides that
+both for the kernel and for the largest legal k.  ``run`` takes
+``cycles // k`` lane steps at the largest legal k for its modes (at most
+the shortest register's length) and the remainder as unit steps (k = 1).
+
+Watched signals are evaluated over the whole run, not per step.  A tap v
+with no window of its register below v is bit 0 read v cycles later, so
+the steps record bit 0 for it, and their own lane word for any other
+watched tap.  Each recorded sequence joins into one int (bit c at cycle
+c), which the final state's word extends, and one generated function
+evaluates every watched output over those ints.  Only injected outputs,
+which the windows read, are computed inside the steps.
 
 The sliced layout (``_CompiledSystem.sliced``) runs many instances of
 one system at once, bitsliced: one word per register bit, one instance
@@ -303,18 +316,9 @@ def _var(node) -> str:
     return "_".join(map(str, node))
 
 
-def _unlane(lanes, k: int, units) -> tuple[int, ...]:
-    """Bits of k-lane words (lane 0 of the first word first), then ``units``."""
-    fmt = f"0{k}b"
-    text = "".join([format(w, fmt)[::-1] for w in lanes])
-    return tuple((text.encode() + bytes(units)).translate(_BITS))
-
-
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class _CompiledSystem:
-    """A system compiled once; kernels are generated per (modes, k, watch) or (modes, k)."""
+    """A system compiled once; lane kernels are generated per (modes, k, record),
+    watch plans per (modes, watch) and sliced kernels per (modes, k)."""
 
     __slots__ = (
         "index",
@@ -404,27 +408,23 @@ class _CompiledSystem:
         self._degrees[modes] = lo
         return lo
 
-    def kernel(self, modes: frozenset, k: int, watch: tuple = ()):
+    def kernel(self, modes: frozenset, k: int, record: tuple = ()):
         """``lanes(words, steps, sinks) -> words``: ``steps`` k-cycle steps.
 
-        Each step appends the k-lane word of every ``watch`` target to the
-        matching list in ``sinks``.
+        Each step appends the k-lane word of every tap in ``record``
+        (``(register index, bit)`` pairs) to the matching list in ``sinks``.
         """
-        key = (modes, k, watch)
+        key = (modes, k, record)
         fn = self._kernels.get(key)
         if fn is None:
-            fn = self._kernels[key] = self._compile(modes, k, watch)
+            fn = self._kernels[key] = self._compile(modes, k, record)
         return fn
 
-    def _compile(self, modes: frozenset, k: int, watch: tuple):
+    def _compile(self, modes: frozenset, k: int, record: tuple):
         if not 1 <= k <= min(n for _, n in self.signature):
             raise ValueError(f"no lane kernel at k={k}")
         wins = self._windows(modes)
-        targets = [
-            ("o", self.out_index[t], 0) if isinstance(t, str)
-            else ("t", self.index[t[0]], t[1])
-            for t in watch
-        ]
+        targets = [("t", r, v) for r, v in record]
         graph = self._graph([("g", r, j) for r, j in wins] + targets, wins, k)
         try:
             order = tuple(TopologicalSorter(graph).static_order())
@@ -438,35 +438,20 @@ class _CompiledSystem:
         def out(i: int) -> str:
             return _var(("o", i, 0))
 
-        body = []
+        body, added = [], set()
         for node in order:
             kind, r, j = node
             if kind == "t":
-                # rotr(w, j) & lanes, plus the windows shifted in during the step
-                n, w = self.signature[r][1], f"w{r}"
-                base = f"{w} >> {j}" if n - j >= k else f"({w} >> {j} | {w} << {n - j})"
-                shifted = [
-                    f"{_var(('g', r, (j + i) % n))} << {i + 1}"
-                    for i in range(k - 1)
-                    if (r, (j + i) % n) in wins
-                ]
-                parts = [f"({_xor([base] + shifted)}) & {lanes}"]
+                parts = [self._tap(r, j, k, added)]
             else:
                 parts = self._parts(node, wins, tap, out, str(lanes))
             body.append(f"{_var(node)} = {_xor(parts)}")
+            if kind == "g":
+                # the register word takes each window once, as it is computed
+                body.append(f"w{r} ^= {_var(node)} << {j + 1}")
+                added.add((r, j))
         for r, (_, n) in enumerate(self.signature):
-            # rotr(w, k) ^ rotl(window j, j - k + 1) for every window
-            w = f"w{r}"
-            parts = [f"({w} >> {k})", f"({w} & {lanes}) << {n - k}"]
-            for q, j in wins:
-                if q != r:
-                    continue
-                g, s = _var(("g", r, j)), j - k + 1
-                if s >= 0:
-                    parts.append(f"{g} << {s}")
-                else:
-                    parts.append(f"({g} >> {-s}) ^ ({g} & {(1 << -s) - 1}) << {n + s}")
-            body.append(f"{w} = {_xor(parts)}")
+            body.append(f"w{r} = w{r} >> {k} ^ (w{r} & {lanes}) << {n - k}")
         body += [f"a{i}({_var(t)})" for i, t in enumerate(targets)]
         words = "".join(f"w{r}, " for r in range(len(self.signature)))
         src = "\n".join(
@@ -477,6 +462,79 @@ class _CompiledSystem:
             + [f"    return [{words}]"]
         )
         return _exec(src, "lanes", f"<lanes k={k}>")
+
+    def _tap(self, r: int, v: int, k: int, added: set) -> str:
+        """Lane word of tap v of register r, read from the register word.
+
+        The word holds the windows in ``added``, window j shifted by j + 1.
+        Read at v (and folded back past the top, when the read crosses
+        it), window j lands ``j + 1 - v`` lanes up (and ``n`` more through
+        the fold), but the tap needs it ``(j - v) mod n + 1`` lanes up.
+        Every shift in one set and not in the other, below k in size,
+        XORs the window in once more.
+        """
+        n, w = self.signature[r][1], f"w{r}"
+        fold = n - v < k
+        parts = [f"{w} >> {v}" if v else w] + [f"{w} << {n - v}"] * fold
+        for q, j in sorted(added):
+            if q != r:
+                continue
+            g, got = _var(("g", r, j)), {j + 1 - v, j + 1 - v + n} if fold else {j + 1 - v}
+            for s in sorted(got ^ {(j - v) % n + 1}):
+                if -k < s < k:
+                    parts.append(f"{g} << {s}" if s > 0 else f"{g} >> {-s}" if s else g)
+        return f"({_xor(parts)}) & {(1 << k) - 1}"
+
+    def plan(self, modes: frozenset, watch: tuple):
+        """``(record, watched)``: how ``run`` observes ``watch`` under ``modes``.
+
+        ``record`` lists the taps whose lane words the kernels record.  A
+        tap v with no window of its register below v is bit 0 read v
+        cycles later, so it is read from the register's bit-0 sequence;
+        any other watched tap records its own lane word.
+        ``watched(seqs, mask)`` takes one whole-run int per recorded tap
+        and returns the value of every watch target over the run, outputs
+        evaluated by the one expression emitter.
+        """
+        key = ("plan", modes, watch)
+        got = self._kernels.get(key)
+        if got is None:
+            got = self._kernels[key] = self._plan(modes, watch)
+        return got
+
+    def _plan(self, modes: frozenset, watch: tuple):
+        low = {}  # lowest window bit of each register
+        for r, j in self._windows(modes):
+            low[r] = min(low.get(r, j), j)
+        record: dict[tuple[int, int], int] = {}
+
+        def read(r: int, v: int) -> str:
+            b = 0 if v <= low.get(r, v) else v
+            s = f"s{record.setdefault((r, b), len(record))}"
+            return f"{s} >> {v - b}" if v > b else s
+
+        def tap(v: Var) -> str:
+            return read(self.index[v.reg], v.idx)
+
+        def out(i: int) -> str:
+            return f"o{i}"
+
+        # watched outputs and the outputs they XOR in; refs name earlier
+        # outputs, so index order evaluates them in time
+        roots = [("o", self.out_index[t], 0) for t in watch if isinstance(t, str)]
+        outs = sorted(i for kind, i, _ in self._graph(roots, {}, 1) if kind == "o")
+        body = [f"o{i} = {_xor(self._parts(('o', i, 0), {}, tap, out, 'mask'))}" for i in outs]
+        values = [
+            f"o{self.out_index[t]}" if isinstance(t, str) else read(self.index[t[0]], t[1])
+            for t in watch
+        ]
+        seqs = "".join(f"s{i}, " for i in range(len(record)))
+        src = "\n".join(
+            ["def watched(seqs, mask):", f"    {seqs or '_ '}= seqs"]
+            + [f"    {line}" for line in body]
+            + [f"    return ({''.join(f'{v} & mask, ' for v in values)})"]
+        )
+        return tuple(record), _exec(src, "watched", "<watched>")
 
     def _parts(self, node, wins, tap, out, one: str) -> list[str]:
         """XOR operands of a window ("g") or output ("o") node, the one expression emitter.
@@ -624,16 +682,47 @@ def run(
 
 
 def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
-    """``run`` on packed words: ``cycles // k`` lane steps, then unit steps."""
+    """``run`` on packed words: ``cycles // k`` lane steps, then unit steps.
+
+    The steps record the lane words of the watch plan's taps.  Each tap's
+    words join into one whole-run int, bit c at cycle c, which the final
+    state's word extends past ``cycles``; the watched signals are then
+    evaluated once over those ints.
+    """
+    record, watched = comp.plan(modes, watch)
     blocks, rest = divmod(cycles, k)
-    lanes = [[] for _ in watch]
+    lanes = [[] for _ in record]
     if blocks:
-        words = comp.kernel(modes, k, watch)(words, blocks, lanes)
-    units = [[] for _ in watch]
+        words = comp.kernel(modes, k, record)(words, blocks, lanes)
+    units = [[] for _ in record]
     if rest:
-        words = comp.kernel(modes, 1, watch)(words, rest, units)
-    traces = {t: _unlane(seq, k, unit) for t, seq, unit in zip(watch, lanes, units)}
-    return traces, words
+        words = comp.kernel(modes, 1, record)(words, rest, units)
+    seqs = []
+    for r, _ in record:
+        # popped, so each tap's lane words are freed once joined
+        seq = _join(lanes.pop(0), k) | _join(units.pop(0), 1) << blocks * k
+        # a tap v read from bit 0 needs bits 0..v-1 of the final word past the run
+        seqs.append(seq | words[r] << cycles)
+    values = watched(seqs, (1 << cycles) - 1)
+    return {t: _bits(v, cycles) for t, v in zip(watch, values)}, words
+
+
+def _join(words: list, width: int) -> int:
+    """One int holding ``words[i]`` at bit ``i * width``, joined pairwise."""
+    while len(words) > 1:
+        pairs = [a | b << width for a, b in zip(words[::2], words[1::2])]
+        if len(words) % 2:
+            pairs.append(words[-1])
+        words, width = pairs, 2 * width
+    return words[0] if words else 0
+
+
+def _bits(value: int, count: int) -> tuple[int, ...]:
+    """Bits 0..count-1 of ``value``, bit 0 first."""
+    return tuple(bin(value | 1 << count)[:2:-1].encode().translate(_BITS))
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _lanes_match(spec: SystemSpec, state: SystemState, cycles: int, modes, k: int) -> bool:

@@ -425,16 +425,16 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     return Distribution(final, script)
 
 
-def _phi(spec: RegisterSpec) -> tuple[list[tuple[int, set[frozenset[int]]]], RegisterSpec]:
+def _phi(spec: RegisterSpec) -> list[tuple[int, set[frozenset[int]]]]:
     """The lift of every tail towards the top, in one walk up from the terminal bit t.
 
     phi_{t+1} = g_t and phi_{i+1} = phi_i read one cycle on (every own
     index + 1, mod n as ``apply_shift`` takes it) XOR g_i: phi_i is what
     bit i of the Galois register has mixed in that the Fibonacci one has
     not.  Returns phi_{t+1} .. phi_{n-1}, the state mapping's fixups, each
-    as its constant and its products' own-index sets; and the collapse:
-    the top bit's shift term XOR phi_n, the value one bit past the top.
-    Every tail below the top must be singular and read only this register.
+    as its constant and its products' own-index sets; ``_collapse`` takes
+    the last one past the top.  Every tail below the top must be singular
+    and read only this register.
     """
     n = spec.length
     top = n - 1
@@ -452,10 +452,17 @@ def _phi(spec: RegisterSpec) -> tuple[list[tuple[int, set[frozenset[int]]]], Reg
             phi ^= {frozenset(v.idx for v in term.vars) for term in g.terms}
             const ^= g.const
         phis.append((const, phi))
-    g = spec.tail(top)
+    return phis
+
+
+def _collapse(spec: RegisterSpec, phis: list[tuple[int, set[frozenset[int]]]]) -> RegisterSpec:
+    """The register with its top bit's shift term XOR phi_n, from ``_phi``'s walk."""
+    n = spec.length
+    const, phi = phis[-1] if phis else (0, set())
+    g = spec.tail(n - 1)
     lifted = {Term(frozenset(Var(spec.id, (i + 1) % n) for i in p)) for p in phi}
     collapse = Anf(frozenset(lifted ^ g.terms ^ {Term.of(spec.id, 0)}), const ^ g.const)
-    return phis, RegisterSpec(spec.id, n, {top: collapse})
+    return RegisterSpec(spec.id, n, {n - 1: collapse})
 
 
 def collapse_to_fibonacci(spec: RegisterSpec) -> RegisterSpec:
@@ -465,7 +472,7 @@ def collapse_to_fibonacci(spec: RegisterSpec) -> RegisterSpec:
     lifted from an even number of bits cancels, which is exactly what
     exposes an over-shifted configuration.
     """
-    return _phi(spec)[1]
+    return _collapse(spec, _phi(spec))
 
 
 def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
@@ -485,8 +492,8 @@ def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
 
 def _state_mapper(
     fib: SystemSpec, galois: SystemSpec
-) -> tuple[Callable[..., list[int]], dict[str, RegisterSpec]]:
-    """The one preparation of a (Fibonacci, Galois) pair: state formula and collapses.
+) -> tuple[Callable[..., list[int]], dict[str, list]]:
+    """The one preparation of a (Fibonacci, Galois) pair: state formula and walks.
 
     Both systems must declare the same registers in the same order, and
     the same outputs and injections; every injection must land on its
@@ -502,7 +509,8 @@ def _state_mapper(
     own indices, so mapping a state evaluates no expression.  Given an
     all-ones mask ``ones``, it maps many states at once: one word per bit,
     one state per bit of ``ones``, and a constant sets every state's bit.
-    The collapses, by register id, come from the same walk.
+    The walks, ``_phi`` by register id, also give the collapses
+    (``_collapse``); only ``map_system_state`` builds them.
     """
     signature = tuple((r.id, r.length) for r in fib.registers)
     if tuple((r.id, r.length) for r in galois.registers) != signature:
@@ -532,14 +540,14 @@ def _state_mapper(
                     f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
                 )
     fixups: list[tuple[int, int, int, set[frozenset[int]]]] = []
-    collapses: dict[str, RegisterSpec] = {}
+    walks: dict[str, list] = {}
     offset = 0
     for reg in galois.registers:
         report = check_uniform(reg)
         if not report.uniform:
             v = report.violations[0]
             raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
-        phis, collapses[reg.id] = _phi(reg)
+        phis = walks[reg.id] = _phi(reg)
         start = terminals[reg.id] + 1
         fixups += [(offset, i, const, phi) for i, (const, phi) in enumerate(phis, start)]
         offset += reg.length
@@ -557,7 +565,7 @@ def _state_mapper(
             out[offset + i] ^= acc
         return out
 
-    return mapped, collapses
+    return mapped, walks
 
 
 def map_system_state(
@@ -574,9 +582,9 @@ def map_system_state(
     """
     if state.signature() != tuple((r.id, r.length) for r in fib_system.registers):
         raise ValueError("state does not conform to the source system")
-    mapper, collapses = _state_mapper(fib_system, galois_system)
+    mapper, walks = _state_mapper(fib_system, galois_system)
     for reg in fib_system.registers:
-        if collapses[reg.id] != reg:
+        if _collapse(galois_system.register(reg.id), walks[reg.id]) != reg:
             raise ValueError(
                 f"target register {reg.id!r} does not collapse to the source register"
             )

@@ -155,9 +155,41 @@ def test_bundled_variants_at_their_derived_degree(name, repair, rng):
     system = variant(name, repair).system
     bits = {r.id: rand_bits(rng, r.length) for r in system.registers}
     state = SystemState.from_bits(system, bits)
+    watch = system.output_names() + tuple(
+        (r.id, i) for r in system.registers for i in range(r.length)
+    )
     for modes in (frozenset({"init"}), frozenset()):
         k = system._compiled.degree(modes)
-        assert _lanes_match(system, state, 2 * k + 3, modes, k), (name, sorted(modes))
+        cycles = 2 * k + 3
+        assert _lanes_match(system, state, cycles, modes, k), (name, sorted(modes))
+        # the per-bit evaluator is the oracle: two lane steps and a remainder
+        want, states = reference(system, bits, cycles, modes, watch)
+        traces, final = run(system, state, cycles, modes, watch)
+        assert traces == {t: tuple(want[t]) for t in watch}, (name, sorted(modes))
+        assert _words(final) == packed(system, states[cycles]), (name, sorted(modes))
+
+
+def test_a_tap_read_across_the_top_meets_a_low_window_twice():
+    # At k = 11, tap 7 of this 16-bit register reads bits 7..17 of the
+    # register word.  The window at bit 0 reaches it twice: 6 lanes down
+    # through the read at 7, which the tap must not see, and 10 lanes up
+    # through the read folded past the top, which it needs.  Output O taps
+    # bits above that window, so at every k it is evaluated from the taps'
+    # own lane words, not from bit 0.
+    reg = RegisterSpec("r", 16, {0: Anf.parse("r[1] + r[3]*r[5]")})
+    spec = SystemSpec([reg], [OutputSpec("O", Anf.parse("r[7] + r[2]*r[9]"))])
+    comp = spec._compiled
+    modes, watch = frozenset(), ("O",) + tuple(("r", i) for i in range(16))
+    assert comp.degree(modes) == 12
+    assert {(0, 2), (0, 7), (0, 9)} <= set(comp.plan(modes, watch)[0])
+    bits = {"r": [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]}
+    start = _words(SystemState.from_bits(spec, bits))
+    for k in range(1, 13):
+        cycles = 2 * k + 3
+        want, states = reference(spec, bits, cycles, modes, watch)
+        traces, words = _run_words(comp, start, cycles, modes, watch, k)
+        assert words == packed(spec, states[cycles]), k
+        assert traces == {t: tuple(want[t]) for t in watch}, k
 
 
 def test_random_shift_script_registers_at_every_legal_k():

@@ -609,8 +609,11 @@ def test_pair_rule_covers_outputs_and_injections(rng):
 def test_pair_rule_accepts_every_bundled_variant(name, flavour):
     v = variant(name, flavour)
     fib = v.fib_variant().system
-    collapses = transform._state_mapper(fib, v.system)[1]
-    collapsed = {rid: reg == fib.register(rid) for rid, reg in collapses.items()}
+    walks = transform._state_mapper(fib, v.system)[1]
+    collapsed = {
+        reg.id: transform._collapse(reg, walks[reg.id]) == fib.register(reg.id)
+        for reg in v.system.registers
+    }
     # as printed, grain128-galois-1 carries b[3]*b[67] twice and does not collapse
     assert all(collapsed.values()) == ((name, flavour) != ("grain128-galois-1", "as-printed"))
 
@@ -623,6 +626,20 @@ def test_map_system_state_walks_each_register_once(monkeypatch):
     fib = v.fib_variant()
     map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
     assert sorted(walked) == ["b", "s"]
+
+
+def test_only_map_system_state_builds_collapses(monkeypatch):
+    built = []
+    real = transform._collapse
+    monkeypatch.setattr(
+        transform, "_collapse", lambda spec, phis: built.append(spec.id) or real(spec, phis)
+    )
+    v = variant("grain80-galois-4")
+    fib = v.fib_variant().system
+    assert check_equivalence_mapped(fib, v.system, 2, 50, 1).equal
+    assert built == []
+    map_system_state(fib, v.system, SystemState.zeros(fib))
+    assert sorted(built) == ["b", "s"]
 
 
 def test_map_system_state_refuses_as_printed_collapse():
