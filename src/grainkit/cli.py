@@ -252,7 +252,8 @@ def _cmd_verify_parallel(args) -> int:
         status = FAIL
         print(f"{v.name}: declared degree {v.parallel_degree} exceeds supported {k}")
     # Differential check: the lane kernel at the declared degree against
-    # unit steps, from a fixed-seed state, over three blocks and a remainder.
+    # unit steps, from a fixed-seed state, over three blocks of k cycles and
+    # a last lane step of k - 1.
     k = v.parallel_degree
     cycles = 4 * k - 1
     rng = random.Random(0)

@@ -27,7 +27,7 @@ dependency order, so a k is legal when those dependencies have no cycle;
 one test, a topological sort of the dependency graph at k, decides that
 both for the kernel and for the largest legal k.  ``run`` takes
 ``cycles // k`` lane steps at the largest legal k for its modes (at most
-the shortest register's length) and the remainder as unit steps (k = 1).
+the shortest register's length), then one step of the ``cycles % k`` left.
 
 Watched signals are evaluated over the whole run, not per step.  A tap v
 with no window of its register below v is bit 0 read v cycles later, so
@@ -682,7 +682,7 @@ def run(
 
 
 def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
-    """``run`` on packed words: ``cycles // k`` lane steps, then unit steps.
+    """``run`` on packed words: ``cycles // k`` lane steps, then one of ``cycles % k``.
 
     The steps record the lane words of the watch plan's taps.  Each tap's
     words join into one whole-run int, bit c at cycle c, which the final
@@ -694,15 +694,14 @@ def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
     lanes = [[] for _ in record]
     if blocks:
         words = comp.kernel(modes, k, record)(words, blocks, lanes)
-    units = [[] for _ in record]
     if rest:
-        words = comp.kernel(modes, 1, record)(words, rest, units)
+        # legal below k too (see ``degree``); _join puts its narrower word last
+        words = comp.kernel(modes, rest, record)(words, 1, lanes)
     seqs = []
     for r, _ in record:
-        # popped, so each tap's lane words are freed once joined
-        seq = _join(lanes.pop(0), k) | _join(units.pop(0), 1) << blocks * k
-        # a tap v read from bit 0 needs bits 0..v-1 of the final word past the run
-        seqs.append(seq | words[r] << cycles)
+        # popped, so each tap's lane words are freed once joined; a tap v
+        # read from bit 0 needs bits 0..v-1 of the final word past the run
+        seqs.append(_join(lanes.pop(0), k) | words[r] << cycles)
     values = watched(seqs, (1 << cycles) - 1)
     return {t: _bits(v, cycles) for t, v in zip(watch, values)}, words
 

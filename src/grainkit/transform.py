@@ -806,8 +806,8 @@ def check_equivalence_mapped(
     and one call of the system's mapping formula maps a whole slice.
 
     One loop steps both systems k cycles per call and compares them at
-    block ends (see ``_mapped_degree``), the last partial block one cycle
-    at a time, until the instance in bit 0 diverges or the cycles run out;
+    block ends (see ``_mapped_degree``), the last partial block in one
+    shorter call, until the instance in bit 0 diverges or the cycles run out;
     no later slice runs once one has diverged.  The lowest divergent trial
     is then replayed through the same loop from its slice-start words,
     alone and one cycle at a time, to find its first divergent cycle,
@@ -858,11 +858,11 @@ def check_equivalence_mapped(
     no_modes = frozenset()
 
     def run(fib_words, gal_words, ones, k):
-        # A trial that agrees at cycle c agrees at c+1..c+k iff it agrees
-        # at c+k, so ``bad`` holds exactly the trials diverged by ``cycle``.
+        # A trial that agrees at cycle c agrees at c+1..c+s, s <= k, iff it
+        # agrees at c+s, so ``bad`` holds exactly the trials diverged by ``cycle``.
         bad, cycle = diverged(fib_words, gal_words), 0
         while not bad & 1 and cycle < cycles - 1:
-            step = k if cycle + k <= cycles - 1 else 1
+            step = min(k, cycles - 1 - cycle)
             fib_words = fib_comp.sliced(no_modes, step)(fib_words, ones)
             gal_words = gal_comp.sliced(no_modes, step)(gal_words, ones)
             bad |= diverged(fib_words, gal_words)

@@ -220,7 +220,7 @@ def test_derived_lane_counts(family, repair, init_k, keygen_k):
             assert comp.degree(frozenset()) == keygen_k, name
 
 
-def test_run_unit_steps_only_the_remainder(monkeypatch, rng):
+def test_run_takes_the_remainder_as_one_lane_step(monkeypatch, rng):
     system = variant("grain80-galois-1").system
     state = SystemState.from_bits(system, {r.id: rand_bits(rng, 80) for r in system.registers})
     k = system._compiled.degree(frozenset())
@@ -242,10 +242,28 @@ def test_run_unit_steps_only_the_remainder(monkeypatch, rng):
         calls.clear()
         run(system, state, cycles, watch=("Z",))
         blocks, rest = divmod(cycles, k)
-        assert calls == [(k, blocks)] * (blocks > 0) + [(1, rest)] * (rest > 0), cycles
+        assert calls == [(k, blocks)] * (blocks > 0) + [(rest, 1)] * (rest > 0), cycles
 
 
-def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch):
+@pytest.mark.parametrize(
+    "name", ["grain80-galois-1", "grain80-fib", "grain128-fib", "grain128-galois-16"]
+)
+def test_every_remainder_width_matches_unit_steps(name, rng):
+    system = variant(name).system
+    state = SystemState.from_bits(
+        system, {r.id: rand_bits(rng, r.length) for r in system.registers}
+    )
+    for modes in (frozenset({"init"}), frozenset()):
+        k = system._compiled.degree(modes)
+        for rest in range(1, k):
+            assert _lanes_match(system, state, k + rest, modes, k), (sorted(modes), rest)
+
+
+@pytest.mark.parametrize("cycles", [300, 30, 20, 18])
+def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch, cycles):
+    # Blocks are 17 cycles.  The mutants diverge at cycles 17, 24 and 19
+    # (at 20 cycles 17, 17 and 19; at 18 all at 17), so at 30 and 20 cycles
+    # a divergence falls in the last, partial block; at 18 one block covers all.
     fib = variant("grain80-fib").system
     gal = variant("grain80-galois-1").system
     cases = []
@@ -253,10 +271,10 @@ def test_mapped_check_blocks_report_the_unit_step_divergence(monkeypatch):
         feedback = dict(gal.register("b").feedback)
         feedback[bit] = Anf.parse(expr)
         cases.append(gal.replace_register(RegisterSpec("b", 80, feedback)))
-    lanes = [check_equivalence_mapped(fib, bad, 5, 300, 3) for bad in cases]
+    lanes = [check_equivalence_mapped(fib, bad, 5, cycles, 3) for bad in cases]
     assert transform._mapped_degree(fib, gal, {"b": 63, "s": 79}) == 17
     monkeypatch.setattr(transform, "_mapped_degree", lambda *args: 1)
-    units = [check_equivalence_mapped(fib, bad, 5, 300, 3) for bad in cases]
+    units = [check_equivalence_mapped(fib, bad, 5, cycles, 3) for bad in cases]
     assert lanes == units
     assert all(not verdict.equal for verdict in units)
 
