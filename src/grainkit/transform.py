@@ -23,11 +23,11 @@ the collapse is the top bit's shift term XOR phi_n, one bit past the top.
 ``map_system_state``, the one state-mapping routine, and the mapped check
 share one preparation of the pair, walk included, over the whole layout.
 
-The exact checker takes the first L >= n bits of every state's output
-prefix from one bitsliced walk of L cycles over all states.  Equal L-bit
-prefixes are the partition that refinement from single bits would reach
-at L, so refinement by doubling only covers the rest of the horizon, and
-it stops at the first length where the two sides' prefix multisets differ.
+The exact checker reads every state's output prefix of up to 64 bits
+from one bitsliced walk over all states, and uses those raw prefixes as
+the classes; numbered refinement by doubling covers only the horizon past
+64 bits.  It stops at the first length where the two sides' prefix
+multisets differ.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Callable, Iterable, Sequence
+from itertools import takewhile, zip_longest
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .anf import (
     Anf,
@@ -596,18 +596,18 @@ def map_system_state(
     return SystemState(tuple(words), state.cycle)
 
 
-def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
-    """Every packed state's first ``cycles`` output bits and ``cycles``-step successor.
+def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
+    """Every packed state's first ``cycles`` output bits and ``cycles``-step successor, sliced.
 
     All 2**n states step together as instances of the bitsliced layout:
     input word i is the identity plane (bit s set iff bit i of s is), and
-    the unit-step sliced kernel runs ``cycles`` times.  Before cycle c,
-    word 0 holds output bit c of every state, so ``_unslice`` of those
-    planes gives each state's prefix as an int (output bit c in bit c), and
-    of the final words its successor.  A prefix is the state's whole output
-    sequence up to ``cycles``, so states with equal prefixes are exactly the
-    classes refinement would reach at that length.  ``_walk(spec, 1)[1]``
-    is the transition table.  Prefixes of up to 64 bits fit ``_unslice``.
+    the unit-step sliced kernel runs ``cycles`` times.  Returns the output
+    planes (word 0 before cycle c, output bit c of every state) and the
+    final words.  ``_unslice`` of the first l output planes gives each
+    state's l-bit prefix as an int (output bit c in bit c), and of the
+    final words its successor.  A prefix is the state's whole output
+    sequence up to its length, so states with equal prefixes are exactly
+    the classes refinement would reach at that length.
     """
     for bit in spec.explicit_bits():
         for term in spec.feedback[bit].sorted_terms():
@@ -624,7 +624,17 @@ def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
     for _ in range(cycles):
         outputs.append(words[0])
         words = sliced(words, ones)
-    return _unslice(outputs, 1 << n), _unslice(words, 1 << n)
+    return outputs, words
+
+
+def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
+    """``_planes`` unsliced: every state's ``cycles``-bit prefix and successor as ints.
+
+    ``_walk(spec, 1)[1]`` is the transition table.  Prefixes of up to 64
+    bits fit ``_unslice``.
+    """
+    outputs, words = _planes(spec, cycles)
+    return _unslice(outputs, 1 << spec.length), _unslice(words, 1 << spec.length)
 
 
 def _identity_plane(n: int, i: int) -> int:
@@ -670,68 +680,99 @@ def _unslice(words: list[int], count: int) -> list[int]:
 _SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
 
 
+def _checked_lengths(n: int, horizon: int) -> Iterator[int]:
+    """The prefix lengths the exhaustive check compares, shortest first, computed lazily.
+
+    L is the shortest leading run of horizon's binary digits whose value
+    is at least n (at most 2n - 1; all digits when horizon < n); each
+    remaining digit doubles the length, and a set one then adds 1.  The
+    last length is the horizon.
+    """
+    digits = bin(horizon)[2:]
+    lead = next((i for i in range(1, len(digits)) if int(digits[:i], 2) >= n), len(digits))
+    length = int(digits[:lead], 2)
+    yield length
+    for bit in digits[lead:]:
+        length *= 2
+        yield length
+        if bit == "1":
+            length += 1
+            yield length
+
+
 def _prefix_classes(
     spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int
 ) -> tuple[list[int], int, bool]:
-    """Number the states of both registers by their output prefixes, up to ``horizon`` bits.
+    """Class the states of both registers by their output prefixes, up to ``horizon`` bits.
 
     Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
-    still the output bit).  The classes start at L = the shortest leading
-    run of horizon's binary digits whose value is at least n (at most
-    2n - 1; all digits when horizon < n): equal L-bit prefixes from
-    ``_walk`` are numbered alike.  Refinement then doubles over the
-    remaining digits: given the classes of L-bit prefixes and the L-step
-    successor J, (cls[s], cls[J[s]]) classes the 2L-bit prefixes, and for a
-    set digit (s & 1, cls[succ[s]]) the (L + 1)-bit ones.
+    still the output bit).  The classes are compared at each of
+    ``_checked_lengths``.  Up to 64 bits, ``_unslice``'s widest field, the
+    classes at length l are the raw l-bit prefixes, read from one
+    ``_planes`` walk of each register to the longest such length.  Past 64
+    bits, numbered refinement takes over from the raw classes at the last
+    raw length l and that walk's l-step successor J: (cls[s], cls[J[s]])
+    classes the 2l-bit prefixes, and (s & 1, cls[succ[s]]) the (l + 1)-bit
+    ones, with the unit-step table built only then.
 
-    The two sides' class multisets are compared after the seed numbering
-    and after every round that splits a class, and refinement stops at the
-    first length where they differ: the prefixes of every longer length
-    refine those, so their multisets differ too.  A round that splits no
-    class ends refinement with the multisets equal: longer prefixes
-    separate nothing more, so the classes of the length before that round
-    are those of the horizon.  Returns the classes, their length (the
-    horizon when every round split a class and the multisets stayed
-    equal) and whether the multisets are equal.  Each strict refinement
-    adds a class, so the partition of the 2**(n+1) entries is stable from
-    some length below 2**(n+1), and the returned length is below
-    2**(n+2).  Returning drops the seed and round tables before the caller
-    builds a witness.
+    The check stops at the first length where the two sides' class
+    multisets differ: the prefixes of every longer length refine those, so
+    their multisets differ too.  A length that splits no class ends the
+    check with the multisets equal: longer prefixes separate nothing more,
+    so the classes of the length before it are those of the horizon.
+    Returns the classes, their length (the horizon when every length split
+    a class and the multisets stayed equal) and whether the multisets are
+    equal.  Each strict refinement adds a class, so the partition of the
+    2**(n+1) entries is stable from some length below 2**(n+1), and the
+    returned length is below 2**(n+2).  Returning drops the walks and
+    tables before the caller builds a witness.
     """
     n = spec_a.length
     size = 1 << n
-    digits = bin(horizon)[2:]
-    lead = next((i for i in range(1, len(digits)) if int(digits[:i], 2) >= n), len(digits))
-    (pa, jump), (pb, jb) = (_walk(spec, int(digits[:lead], 2)) for spec in (spec_a, spec_b))
-    ids: dict[int, int] = {}
-    cls = [ids.setdefault(p, len(ids)) for part in (pa, pb) for p in part]
-    count = len(ids)
-    del pa, pb, ids  # the seed prefixes are numbered; drop them before the rounds
-    length, rest = int(digits[:lead], 2), digits[lead:]
-    if not _balanced(cls, size):
-        return cls, length, False
-    jump += [size + t for t in jb]
-    del jb
-    out = succ = []  # the unit-step rounds' tables, built only when a digit needs them
-    if "1" in rest:
-        succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
-        out = [0, 1] * size  # bit 0 of every entry
-    for bit in rest:
-        for head, step in [(cls, jump)] + [(out, succ)] * (bit == "1"):
-            ids = {}
-            refined = [ids.setdefault(h * count + cls[t], len(ids)) for h, t in zip(head, step)]
-            if len(ids) == count:
-                return cls, length, True
-            cls, count = refined, len(ids)
-            length = length + 1 if step is succ else 2 * length
-            if not _balanced(cls, size):
-                return cls, length, False
+    longest = max(takewhile(lambda length: length <= 64, _checked_lengths(n, horizon)))
+    walks = [_planes(spec, longest) for spec in (spec_a, spec_b)]
+    cls, count, length = [], 0, 0
+    for nxt in _checked_lengths(n, horizon):
+        if nxt <= longest:
+            (oa, _), (ob, _) = walks
+            refined = _unslice(oa[:nxt], size) + _unslice(ob[:nxt], size)
+            classes, step = len(set(refined)), None
+        else:
+            if length == longest:  # hand the raw classes over to numbered refinement
+                (_, wa), (_, wb) = walks
+                del walks
+                jump = _unslice(wa, size) + [size + t for t in _unslice(wb, size)]
+                base, out, succ = 1 << length, [], []  # a raw prefix is below 2**length
+            if nxt == 2 * length:
+                head, step = cls, jump
+            else:
+                if not succ:
+                    succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
+                    out = [0, 1] * size  # bit 0 of every entry
+                head, step = out, succ
+            ids: dict[int, int] = {}
+            refined = [ids.setdefault(h * base + cls[t], len(ids)) for h, t in zip(head, step)]
+            classes = base = len(ids)
+        if classes == count:
+            return cls, length, True
+        cls, count, length = refined, classes, nxt
+        if not _balanced(cls, size):
+            return cls, length, False
+        if step:
             jump = [jump[t] for t in step]
     return cls, length, True
 
 
 def _balanced(cls: list[int], size: int) -> bool:
-    """Whether every class holds as many of the first ``size`` entries as of the rest."""
+    """Whether every class holds as many of the first ``size`` entries as of the rest.
+
+    When the first ``size`` entries are all in different classes, that is
+    whether the rest are in exactly those classes: a set comparison, which
+    is cheaper than sorting (raw prefixes sort slower than small ids).
+    """
+    a = set(cls[:size])
+    if len(a) == size:
+        return a == set(cls[size:])
     return sorted(cls[:size]) == sorted(cls[size:])
 
 
@@ -742,13 +783,13 @@ def check_equivalence_exhaustive(
 
     Exact: ``_prefix_classes`` partitions the states of both registers by
     their first ``horizon`` output bits (default 2**n), and the registers
-    are equal when every class holds as many states of each.  The first
-    L >= n of those bits (all of them, for a horizon below n) come from one
-    sliced ``_walk`` of L cycles: states with equal L-bit prefixes are the
-    very classes that refinement from single bits reaches at L, so only the
-    rest of the horizon is refined by doubling, and only until a round
-    splits nothing or the two sides' class multisets differ.  Memory is
-    O(2**n) whatever the horizon.
+    are equal when every class holds as many states of each.  Up to 64
+    bits, the classes are the raw prefixes themselves, read from one sliced
+    walk of each register; past 64 bits, numbered refinement by doubling
+    takes over.  The partition is compared at L >= n bits (the whole
+    horizon, when it is below n) and at each doubling after that, and only
+    until a length splits nothing or the two sides' class multisets
+    differ.  Memory is O(2**n) whatever the horizon.
 
     An unequal verdict names the first state of ``spec_a`` whose class is
     unbalanced at the first checked length where the multisets differ,

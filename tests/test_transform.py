@@ -1076,16 +1076,30 @@ def _register_from_table(n: int, table: list[int]) -> RegisterSpec:
     return RegisterSpec("r", n, feedback)
 
 
-# Two registers given by successor tables whose prefix multisets first
-# differ at 11 (4 bits) and 14 (5 bits) output bits: the second table of a
-# pair changes one successor of the first to another state with the same
-# output bit.  Found by a seeded random search over such table pairs; unlike
-# criterion-5 pairs, their classes still split after 2n bits, so the
-# refinement rounds after the seeded walk decide the verdict and witness.
+def _path_table(n: int, states: int) -> list[int]:
+    """Even states 2 -> 4 -> ... (``states`` of them, output 0) lead to the odd
+    fixed point 1; every other state is a fixed point."""
+    end = 2 * states
+    return [s + 2 if s % 2 == 0 and 2 <= s < end else 1 if s == end else s for s in range(1 << n)]
+
+
+# Registers given by successor tables whose prefix multisets first differ
+# at 11 (4 bits), 14 (5 bits), 71 (8 bits) and 201 (9 bits) output bits,
+# with the horizons checked: the second table of a pair changes one
+# successor of the first to another state with the same output bit.  The
+# first two were found by a seeded random search over such table pairs;
+# unlike criterion-5 pairs, their classes still split after 2n bits, so
+# the lengths after the first decide the verdict and witness.  The last two
+# are paths of 70 and 200 states whose start the second table makes a
+# fixed point: their classes keep splitting up to the path's length, so
+# horizons of 128 and above run numbered rounds past 64 bits, and at 9 bits
+# two doubling rounds in a row (128 and 256 bits).
 _LATE_TABLES = [
-    (4, 11, [7, 11, 14, 4, 0, 15, 13, 5, 10, 2, 9, 9, 12, 7, 13, 3], {7: 1}),
+    (4, 11, [7, 11, 14, 4, 0, 15, 13, 5, 10, 2, 9, 9, 12, 7, 13, 3], {7: 1}, range(1, 64)),
     (5, 14, [3, 22, 7, 6, 9, 28, 2, 10, 5, 8, 15, 15, 5, 14, 13, 16,
-             9, 16, 21, 12, 3, 0, 14, 4, 20, 17, 27, 24, 3, 6, 4, 28], {29: 22}),
+             9, 16, 21, 12, 3, 0, 14, 4, 20, 17, 27, 24, 3, 6, 4, 28], {29: 22}, range(1, 64)),
+    (8, 71, _path_table(8, 70), {2: 2}, {*range(63, 73), 126, 127, 128, 129, 140, 141, 256}),
+    (9, 201, _path_table(9, 200), {2: 2}, {128, 200, 201, 255, 256, 257, 401, 512}),
 ]
 
 
@@ -1100,10 +1114,10 @@ def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
         horizons |= {power + d for d in (-1, 0, 1)} | {2 * power + d for d in (-1, 0, 1)}
         cases += [(fib, gal, horizons, None), (fib, _mutate_one_term(rng, gal), horizons, None)]
     assert {4, 10} <= {a.length for a, _, _, _ in cases}
-    for n, first, table, changes in _LATE_TABLES:
+    for n, first, table, changes, horizons in _LATE_TABLES:
         other = [changes.get(s, t) for s, t in enumerate(table)]
         a, b = _register_from_table(n, table), _register_from_table(n, other)
-        cases.append((a, b, range(1, 64), first))
+        cases.append((a, b, horizons, first))
     for _ in range(12):  # arbitrary successor tables: many states share successors
         n = rng.randint(2, 5)
         table = [rng.randrange(1 << n) for _ in range(1 << n)]
@@ -1128,7 +1142,9 @@ def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
                 prefixes.append(tuple(prefix))
         for horizon in sorted(horizons):
             rest = _refined_digits(n, horizon)
-            if horizon < n:
+            if horizon > 64:
+                paths["numbered rounds past 64 bits"] += 1
+            elif horizon < n:
                 paths["seed only, below n"] += 1
             elif not rest:
                 paths["seed only"] += 1
@@ -1145,7 +1161,7 @@ def test_seeded_exhaustive_check_matches_brute_force_prefix_multisets():
                     continue
                 unequal += 1
                 _assert_witness(verdict.counterexample, n, horizon, px, py)
-    assert min(paths.values()) >= 10 and len(paths) == 4, paths
+    assert min(paths.values()) >= 10 and len(paths) == 5, paths
     assert unequal >= 50, unequal
 
 
@@ -1153,7 +1169,8 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
     # A seeded 14-bit benchmark-style pair: a Galois register with one
     # variable of one term swapped.  Its classes keep splitting up to 256
     # bits, but its 16-bit prefix multisets already differ, so the verdict
-    # comes from the seed numbering's comparison and no round runs.
+    # comes from the comparison at 16 bits, the first checked length, and
+    # no longer prefix is read.
     a = RegisterSpec("r", 14, {
         13: parse_expr("r[0] + r[4]*r[8]*r[11] + r[6]*r[9]*r[10] + r[8]*r[11]"),
     })
@@ -1175,6 +1192,26 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
     # the default horizon checks 16 bits, then 32, as horizon 32 does
     _assert_witness(verdict.counterexample, 14, 32, px, py)
     assert len(verdict.counterexample.prefix) == 16
+
+    # Up to 64 bits the classes are the raw prefixes, unsliced from the
+    # walk's output planes only: no successor table (n = 14 planes) is
+    # unsliced, which numbered rounds past 64 bits would need first.  The
+    # equal sibling, b against its own collapse, stops when 32 bits split
+    # no class.
+    read = []
+    real_unslice = transform._unslice
+    monkeypatch.setattr(
+        transform, "_unslice",
+        lambda words, count: read.append(len(words)) or real_unslice(words, count),
+    )
+    fib = collapse_to_fibonacci(b)
+    for x, y, equal, lengths in ((a, b, False, [16, 16]), (fib, b, True, [16, 16, 32, 32])):
+        read.clear()
+        cls, length, same = transform._prefix_classes(x, y, 1 << 14)
+        assert (same, length, read) == (equal, 16, lengths)
+        packed = [sum(bit << c for c, bit in enumerate(p[:16])) for p in
+                  _walked_prefixes(x, 16) + _walked_prefixes(y, 16)]
+        assert cls == packed
 
 
 def test_exhaustive_check_memory_grows_with_states_not_horizon():
