@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .anf import (
     Anf,
+    ExprError,
     ForeignVariableError,
     Term,
     Var,
@@ -232,21 +233,20 @@ def check_uniform(spec: RegisterSpec, terminal: int | None = None) -> Uniformity
     violations: list[Violation] = []
     for bit in spec.explicit_bits():
         g, shift_var = spec.tail(bit), spec.shift_var(bit)
+        support = g.support()
         if Term(frozenset({shift_var})) in g.terms:
             # the split XORed the shift term in: the feedback lacked it
             violations.append(
                 Violation(bit, "non-singular", f"feedback lacks the shift term {shift_var}")
             )
-        elif shift_var in g.support():
+        elif shift_var in support:
             violations.append(
                 Violation(
                     bit, "depends-on-successor", f"logic besides the shift uses {shift_var}"
                 )
             )
         else:
-            bad = sorted(
-                {v.idx for v in g.support() if v.reg == spec.id and v.idx > t}
-            )
+            bad = sorted({v.idx for v in support if v.reg == spec.id and v.idx > t})
             if bad:
                 violations.append(
                     Violation(
@@ -975,7 +975,10 @@ def parse_shift_script(text: str) -> tuple[ShiftMove, ...]:
             raise ValueError(
                 f"line {lineno}: expected 'shift <reg> <src> -> <dst> : <terms>'"
             )
-        terms = frozenset(parse_term(chunk) for chunk in m.group(4).split(","))
+        try:
+            terms = frozenset(parse_term(chunk) for chunk in m.group(4).split(","))
+        except ExprError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         moves.append(ShiftMove(m.group(1), int(m.group(2)), int(m.group(3)), terms))
     return tuple(moves)
 

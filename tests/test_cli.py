@@ -13,10 +13,12 @@ from grainkit import (
     load,
     state_to_hex,
     variant,
+    variants,
 )
 from grainkit.cli import main
 from grainkit.specfile import parse_spec
 from grainkit.transform import check_equivalence_mapped, check_uniform
+from conftest import GALOIS_VARIANTS
 
 GRAIN80_ZERO_KS = "dee931cf1662a72f77d02b6b6188a8f6"
 
@@ -441,6 +443,21 @@ def test_transform_script(tmp_path, capsys):
     )
     assert rc == 0
     assert "feedback b[70] = b[71] + b[24]*b[19]*b[12]*b[6]*b[0]" in out
+
+
+@pytest.mark.parametrize("name", GALOIS_VARIANTS)
+def test_transform_rebuilds_each_bundled_galois_variant(tmp_path, capsys, name):
+    # the bundled build and a user's --script pass through the same gate
+    sibling, text = variants._SCRIPTS[name]
+    script = tmp_path / "moves.txt"
+    script.write_text(text)
+    rc, out, err = run_cli(
+        capsys,
+        "transform", "--variant", sibling, "--register", "b",
+        "--script", str(script), "--name", name,
+    )
+    assert (rc, err) == (0, "")
+    assert out == variants.document(name)
 
 
 def test_transform_rejects_bad_script(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from grainkit import INIT_MODE, VARIANT_NAMES, variant
+from grainkit import INIT_MODE, VARIANT_NAMES, variant, variants
 from grainkit.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -84,3 +84,8 @@ def test_lane_count_table_matches_the_engine():
                 comp = variant(name, flavour).system._compiled
                 got = (comp.degree(frozenset({INIT_MODE})), comp.degree(frozenset()))
                 assert got == (init_k, keygen_k), (name, flavour)
+
+
+def test_the_shown_galois_script_is_the_bundled_one():
+    _, text = variants._SCRIPTS["grain80-galois-8"]
+    assert f"```\n{text.strip()}\n```" in README

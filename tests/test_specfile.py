@@ -109,7 +109,8 @@ def test_round_trip_on_bundled_documents(name):
 
 def test_variant_systems_match_documents():
     for name in VARIANT_NAMES:
-        assert variant(name).system == parse_spec(document(name)).system
+        doc = parse_spec(document(name))
+        assert (doc.name, doc.system) == (name, variant(name).system)
 
 
 def test_pure_shift_bits_are_omitted():

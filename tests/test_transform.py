@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from grainkit import variant
-from grainkit import transform
+from grainkit import transform, variants
 from grainkit.anf import (
     Anf,
     ForeignVariableError,
@@ -49,26 +49,9 @@ from grainkit.transform import (
 from conftest import ALL_VARIANTS, GALOIS_VARIANTS, rand_bits
 from test_acceptance import _mutate_one_term, _random_uniform_transformation
 
-# Reconstruction of the bundled 1 bit/cycle Grain-80 configuration from the
-# Fibonacci register, one move per destination, terms in source coordinates.
-GRAIN80_GALOIS1_SCRIPT = """
-shift b 79 -> 78 : b[45]
-shift b 79 -> 77 : b[52]
-shift b 79 -> 76 : b[60]
-shift b 79 -> 75 : b[62]
-shift b 79 -> 74 : b[37]*b[33]
-shift b 79 -> 73 : b[9]
-shift b 79 -> 72 : b[15]*b[9]
-shift b 79 -> 71 : b[63]*b[45]*b[28]*b[9]
-shift b 79 -> 70 : b[33]*b[28]*b[21]*b[15]*b[9]
-shift b 79 -> 69 : b[63]*b[60]
-shift b 79 -> 68 : b[60]*b[52]*b[37]*b[33]
-shift b 79 -> 67 : b[21], b[33]*b[28]*b[21]
-shift b 79 -> 66 : b[28], b[60]*b[52]*b[45]
-shift b 79 -> 65 : b[14], b[52]*b[45]*b[37]*b[33]*b[28]*b[21]
-shift b 79 -> 64 : b[33], b[63]*b[60]*b[21]*b[15]
-shift b 79 -> 63 : b[63]*b[60]*b[52]*b[45]*b[37]
-"""
+# The bundled 1 bit/cycle Grain-80 configuration's script: one move per
+# destination below the top, terms in source coordinates.
+GRAIN80_GALOIS1 = variants._SCRIPTS["grain80-galois-1"][1]
 
 
 def fib4():
@@ -194,7 +177,7 @@ def test_declared_terminal_cannot_exceed_structural():
 
 
 def test_script_reconstructs_grain80_galois_1():
-    script = parse_shift_script(GRAIN80_GALOIS1_SCRIPT)
+    script = parse_shift_script(GRAIN80_GALOIS1)
     assert len(script) == 16
     fib = variant("grain80-fib").system.register("b")
     result = check_script(fib, script, system=variant("grain80-fib").system)
@@ -231,7 +214,7 @@ def test_script_warning_below_required_terminal():
     # rebuild the 1 bit/cycle form, then push the bit-63 logic down to 58:
     # legal by uniformity, but below the terminal the outputs need
     extra = "shift b 63 -> 58 : b[47]*b[44]*b[36]*b[29]*b[21]\n"
-    script = parse_shift_script(GRAIN80_GALOIS1_SCRIPT + extra)
+    script = parse_shift_script(GRAIN80_GALOIS1 + extra)
     result = check_script(fib, script, system=system)
     assert result.ok
     assert any("required terminal" in w for w in result.warnings)
@@ -239,14 +222,19 @@ def test_script_warning_below_required_terminal():
 
 
 def test_script_round_trip_text():
-    script = parse_shift_script(GRAIN80_GALOIS1_SCRIPT)
+    script = parse_shift_script(GRAIN80_GALOIS1)
     assert parse_shift_script(format_shift_script(script)) == script
 
 
 def test_script_parse_error():
-    with pytest.raises(ValueError) as exc:
-        parse_shift_script("shift b 79 - 70 : b[1]")
-    assert "line 1" in str(exc.value)
+    for text, message in (
+        ("shift b 79 - 70 : b[1]", "line 1: expected 'shift"),
+        ("shift b 79 -> 75 : b[45]*", "line 1: bad factor '' at offset 6"),
+        ("# moves\nshift b 79 -> 78 : b[45]\nshift b 79 -> 77 : b[52\n", "line 3: "),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_shift_script(text)
+        assert str(exc.value).startswith(message)
 
 
 # ------------------------------------------------------- positions and degrees
