@@ -129,6 +129,14 @@ class RegisterSpec:
         """``g`` in the shift-plus-tail form ``f_bit = x[(bit + 1) mod n] ^ g``."""
         return xor_merge(self.expr(bit), {Term(frozenset({self.shift_var(bit)}))})
 
+    @cached_property
+    def _alone(self) -> "SystemSpec":
+        """This register as a system of its own, built once so its kernels compile once.
+
+        The register must read no other register's bits.
+        """
+        return SystemSpec([self])
+
 
 @dataclass(frozen=True)
 class OutputSpec:

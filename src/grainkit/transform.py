@@ -32,6 +32,7 @@ multisets differ.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import sys
@@ -619,7 +620,7 @@ def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
     n = spec.length
     ones = (1 << (1 << n)) - 1
     words = [_identity_plane(n, i) & ones for i in range(n)]
-    sliced = SystemSpec([spec])._compiled.sliced(frozenset(), 1)
+    sliced = spec._alone._compiled.sliced(frozenset(), 1)
     outputs = []
     for _ in range(cycles):
         outputs.append(words[0])
@@ -628,10 +629,12 @@ def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
 
 
 def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
-    """``_planes`` unsliced: every state's ``cycles``-bit prefix and successor as ints.
+    """``_planes`` transposed: every state's ``cycles``-bit prefix and successor as ints.
 
     ``_walk(spec, 1)[1]`` is the transition table.  Prefixes of up to 64
-    bits fit ``_unslice``.
+    bits fit ``_unslice``'s widest field.  The register's sliced kernel is
+    compiled on its first walk only, so the witness of a check walks side
+    a again with the kernel the check compiled.
     """
     outputs, words = _planes(spec, cycles)
     return _unslice(outputs, 1 << spec.length), _unslice(words, 1 << spec.length)
@@ -644,40 +647,77 @@ def _identity_plane(n: int, i: int) -> int:
     all-ones word) is superlinear in CPython and would cost more than the
     kernel call.
     """
+    return int.from_bytes(_bit_pattern(i, max(1, (1 << n) >> 3)), "little")
+
+
+def _bit_pattern(i: int, size: int) -> bytes:
+    """``size`` bytes whose bit t, little-endian, is bit i of t; size holds whole periods."""
     if i < 3:
         pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1])
     else:
         run = 1 << (i - 3)
         pattern = bytes(run) + b"\xff" * run
-    size = max(1, (1 << n) >> 3)
-    return int.from_bytes(pattern * (size // len(pattern)), "little")
+    return pattern * (size // len(pattern))
+
+
+# States per transposed block.  One piece of 2**20 states would raise the
+# check's peak by tens of MiB; blocks keep the working ints and the cached
+# masks (one set per field width and block size in use) small.
+_BLOCK = 1 << 14
 
 
 def _unslice(words: list[int], count: int) -> list[int]:
     """Instances 0..count-1 of the sliced layout as packed ints, bit i from ``words[i]``.
 
-    Each word becomes one byte per instance (its binary digits, in
-    reverse order through a big-endian read), eight words OR into one
-    byte plane, and the byte planes interleave into fixed-width fields
-    that ``array`` reads.  Fields are written little-endian and swapped
-    on a big-endian host, so nothing depends on the host's byte order
-    or C integer sizes.
+    A blocked bit-matrix transpose (Warren, *Hacker's Delight*, 2nd ed.,
+    7-3, after Eklundh 1972).  The words, padded to the ``rows`` bits of
+    the narrowest ``array`` field that holds them, are the rows of one
+    int per block of states; round j exchanges bit j of the row with bit
+    j of the column inside every rows-by-rows tile, so after log2(rows)
+    rounds each tile is transposed and each field holds one state: field
+    ``tiles * r + b`` of a block holds its state ``rows * b + r``, and
+    ``rows`` extended-slice assignments put the states in order.  The
+    last block is padded with zero states.  Fields are read little-endian
+    and swapped on a big-endian host, so nothing depends on the host's
+    byte order or C integer sizes.
     """
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= len(words))
-    width = array(code).itemsize
-    fields = bytearray(width * count)
-    for j in range(0, len(words), 8):
-        plane = 0
-        for i, word in enumerate(words[j : j + 8]):
-            plane |= int.from_bytes(format(word, "b").encode().translate(_SPREAD[i]), "big")
-        fields[j // 8 :: width] = plane.to_bytes(count, "little")
-    table = array(code, fields)
+    rows = array(code).itemsize * 8
+    block = min(_BLOCK, -(-count // rows) * rows)
+    end, span, tiles = -(-count // block) * block, block // 8, block // rows
+    planes = [memoryview(w.to_bytes(end // 8, "little")) for w in words]
+    planes.append(bytes(span * (rows - len(words))))
+    masks = _transpose_masks(rows, block)
+    table = array(code, bytes(end * rows // 8))
+    for lo in range(0, end, block):
+        m = int.from_bytes(b"".join([p[lo // 8 : lo // 8 + span] for p in planes]), "little")
+        for s, mask in masks:
+            t = ((m >> s) ^ m) & mask
+            m ^= t ^ (t << s)
+        fields = array(code, m.to_bytes(span * rows, "little"))
+        for r in range(rows):
+            table[lo + r : lo + block : rows] = fields[r * tiles : (r + 1) * tiles]
+    del table[count:]
     if sys.byteorder == "big":
         table.byteswap()
     return table.tolist()
 
 
-_SPREAD = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
+@functools.cache
+def _transpose_masks(rows: int, block: int) -> tuple[tuple[int, int], ...]:
+    """Each transpose round's shift and mask, over ``rows`` rows of ``block`` bits.
+
+    Round j swaps bit (i, t), row i and column t, where bit j of i is
+    clear and bit j of t is set, with bit (i + 2**j, t - 2**j): the mask
+    marks the first, and the second lies 2**j * (block - 1) bits above it.
+    """
+    rounds = []
+    for j in range(rows.bit_length() - 1):
+        row = _bit_pattern(j, block // 8)
+        blank = bytes(len(row))
+        mask = b"".join(blank if i >> j & 1 else row for i in range(rows))
+        rounds.append(((1 << j) * (block - 1), int.from_bytes(mask, "little")))
+    return tuple(rounds)
 
 
 def _checked_lengths(n: int, horizon: int) -> Iterator[int]:
@@ -708,8 +748,9 @@ def _prefix_classes(
     Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
     still the output bit).  The classes are compared at each of
     ``_checked_lengths``.  Up to 64 bits, ``_unslice``'s widest field, the
-    classes at length l are the raw l-bit prefixes, read from one
-    ``_planes`` walk of each register to the longest such length.  Past 64
+    classes at length l are the raw l-bit prefixes: one ``_planes`` walk
+    of each register runs to the longest such length, and each checked
+    length l transposes the first l output planes of both.  Past 64
     bits, numbered refinement takes over from the raw classes at the last
     raw length l and that walk's l-step successor J: (cls[s], cls[J[s]])
     classes the 2l-bit prefixes, and (s & 1, cls[succ[s]]) the (l + 1)-bit

@@ -1,11 +1,13 @@
 import random
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
 from grainkit import variant
-from grainkit import transform, variants
+from grainkit import engine, transform, variants
 from grainkit.anf import (
     Anf,
     ForeignVariableError,
@@ -977,6 +979,50 @@ def test_unslice_matches_a_per_bit_transpose():
             assert transform._unslice(words, count) == expected, (count, nwords)
 
 
+def _byte_plane_unslice(words: list[int], count: int) -> list[int]:
+    """Oracle: the byte-plane transpose the blocked bit-matrix transpose replaced.
+
+    Each word becomes one byte per instance (its binary digits, in
+    reverse order through a big-endian read), eight words OR into one
+    byte plane, and the byte planes interleave into fixed-width fields.
+    """
+    spread = [bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8)]
+    code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= len(words))
+    width = array(code).itemsize
+    fields = bytearray(width * count)
+    for j in range(0, len(words), 8):
+        plane = 0
+        for i, word in enumerate(words[j : j + 8]):
+            plane |= int.from_bytes(format(word, "b").encode().translate(spread[i]), "big")
+        fields[j // 8 :: width] = plane.to_bytes(count, "little")
+    table = array(code, fields)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tolist()
+
+
+def test_unslice_matches_the_byte_plane_transpose():
+    # Every count from 2**3 to 2**20 states, the block edges and a partial
+    # last block, each against every field width (1-8, 9-16, 17-32 and
+    # 33-64 planes).  Up to 2**16 states every width's edges are tried;
+    # past that one random plane count per count keeps the test quick,
+    # cycling through the widths.
+    rng = random.Random(0x7E5A)
+    block = transform._BLOCK
+    counts = sorted({1 << k for k in range(3, 21)} | {block, 2 * block, block + 8, 3 * block})
+    widths = [(1, 8), (9, 16), (17, 32), (33, 64)]
+    for i, count in enumerate(counts):
+        if count <= 1 << 16:
+            nplanes = [n for lo, hi in widths for n in (lo, rng.randint(lo, hi), hi)]
+        else:
+            nplanes = [rng.randint(*widths[i % 4])]
+        for n in nplanes:
+            words = [rng.getrandbits(count) for _ in range(n)]
+            assert transform._unslice(words, count) == _byte_plane_unslice(words, count), (
+                count, n
+            )
+
+
 def test_identity_plane_holds_bit_i_of_every_state():
     for n in range(1, 17):
         ones = (1 << (1 << n)) - 1
@@ -1200,6 +1246,42 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
         packed = [sum(bit << c for c, bit in enumerate(p[:16])) for p in
                   _walked_prefixes(x, 16) + _walked_prefixes(y, 16)]
         assert cls == packed
+
+
+def test_exhaustive_check_compiles_each_registers_kernel_once(monkeypatch):
+    # The unequal 14-bit pair of the test above, then the equal sibling.
+    # A check compiles one sliced kernel per side it has not walked
+    # before, the witness's walk of side a included, so the sibling
+    # compiles only its collapse, and a second check on the same spec
+    # objects compiles nothing.
+    a = RegisterSpec("r", 14, {
+        13: parse_expr("r[0] + r[4]*r[8]*r[11] + r[6]*r[9]*r[10] + r[8]*r[11]"),
+    })
+    b = RegisterSpec("r", 14, {
+        12: parse_expr("r[13] + r[5]*r[8]*r[9]"),
+        11: parse_expr("r[12] + r[2]*r[9]*r[13]"),
+        10: parse_expr("r[11] + r[5]*r[8]"),
+    })
+    compiled = []
+    real = engine._CompiledSystem._compile_sliced
+    monkeypatch.setattr(
+        engine._CompiledSystem, "_compile_sliced",
+        lambda self, modes, k: compiled.append(self.signature) or real(self, modes, k),
+    )
+    fib = collapse_to_fibonacci(b)
+    for x, y, equal, kernels in ((a, b, False, 2), (fib, b, True, 1)):
+        compiled.clear()
+        first = check_equivalence_exhaustive(x, y)
+        assert first.equal is equal and compiled == [(("r", 14),)] * kernels
+        assert (first.counterexample is None) is equal
+        compiled.clear()
+        assert check_equivalence_exhaustive(x, y) == first and compiled == []
+    # a register that reads another one is refused before anything compiles
+    foreign = RegisterSpec("r", 4, {3: parse_expr("r[0] + q[1]*r[2]")})
+    for _ in range(2):
+        with pytest.raises(ForeignVariableError):
+            check_equivalence_exhaustive(foreign, foreign)
+    assert compiled == []
 
 
 def test_exhaustive_check_memory_grows_with_states_not_horizon():
