@@ -20,7 +20,7 @@ from .anf import (
     substitute_var,
     xor_merge,
 )
-from .bits import pack_bits, unpack_hex
+from .bits import int_bits, pack_bits, pack_int, unpack_hex, unpack_int
 from .engine import (
     Injection,
     OutputSpec,
@@ -29,6 +29,7 @@ from .engine import (
     SystemState,
     output_values,
     run,
+    run_ints,
     shift_expr,
     step,
     tap_trace,
@@ -40,6 +41,7 @@ from .grain import (
     KeyIv,
     UnknownVariantError,
     generate_keystream,
+    generate_keystream_int,
     initialize,
     keystream,
     load,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import grain, timing, transform
 from .anf import ForeignVariableError, term_sort_key
-from .bits import pack_bits
+from .bits import pack_int
 from .engine import RegisterSpec, SystemSpec, SystemState, _lanes_match
 from .specfile import SpecError, format_spec, parse_spec
 
@@ -86,8 +86,9 @@ def _cmd_keystream(args) -> int:
     keyiv = grain.KeyIv.from_hex(
         args.key, args.iv, v.key_bits, v.iv_bits, args.bit_order
     )
-    bits = grain.keystream(v, keyiv, args.bits, mode=args.mode)
-    print(pack_bits(bits, args.bit_order))
+    state = grain.initialize(v, grain.load(v, keyiv), args.mode)
+    value, _ = grain.generate_keystream_int(v, state, args.bits)
+    print(pack_int(value, args.bits, args.bit_order))
     return OK
 
 

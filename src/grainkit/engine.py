@@ -16,13 +16,17 @@ rotation plus a tail.  Let ``G_j`` be the k-lane word whose lane m holds
 ``g_j`` at cycle m (plus any injected output at cycle m).  Each register
 keeps one word per step, ``x = w ^ XOR_j (G_j << (j + 1))``: each window
 is XORed in once, right after it is computed, and the step ends with
-``w' = rotr(x, k)``.  Tap v reads ``(x >> v) & (2^k - 1)``, plus
-``x << (n - v)`` when the read crosses the top.  A window already in x
-reaches the tap ``j + 1 - v`` lanes up (and ``n`` more through the fold),
-while the tap needs it ``(j - v) mod n + 1`` lanes up; every shift in one
-set and not the other, below k in size, XORs the window in once more.
-The kernels that keystream generation runs on the bundled Grain
-configurations need no such term.  Taps, windows and outputs are evaluated in
+``w' = rotr(x, k)``.  Tap v reads ``x >> v``, plus ``x << (n - v)`` when
+the read crosses the top.  A window already in x reaches the tap
+``j + 1 - v`` lanes up (and ``n`` more through the fold), while the tap
+needs it ``(j - v) mod n + 1`` lanes up; every shift in one set and not
+the other, below k in size, XORs the window in once more.  The kernels
+that keystream generation runs on the bundled Grain configurations need
+no such term.  A lane word is cut to k bits once, where it must be: a tap
+read linearly or recorded as it is read (XOR is as wide as its widest
+operand), and a product of taps none of which is cut (AND is as narrow as
+its narrowest operand), so every window is k bits wide when it enters the
+register word.  Taps, windows and outputs are evaluated in
 dependency order, so a k is legal when those dependencies have no cycle;
 one test, a topological sort of the dependency graph at k, decides that
 both for the kernel and for the largest legal k.  ``run`` takes
@@ -34,8 +38,9 @@ with no window of its register below v is bit 0 read v cycles later, so
 the steps record bit 0 for it, and their own lane word for any other
 watched tap.  Each recorded sequence joins into one int (bit c at cycle
 c), which the final state's word extends, and one generated function
-evaluates every watched output over those ints.  Only injected outputs,
-which the windows read, are computed inside the steps.
+evaluates every watched output over those ints, which ``run_ints``
+returns and ``run`` expands into bits.  Only injected outputs, which the
+windows read, are computed inside the steps.
 
 The sliced layout (``_CompiledSystem.sliced``) runs many instances of
 one system at once, bitsliced: one word per register bit, one instance
@@ -62,6 +67,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .anf import Anf, Term, Var, xor_merge
+from .bits import int_bits
 
 __all__ = [
     "RegisterSpec",
@@ -72,6 +78,7 @@ __all__ = [
     "shift_expr",
     "step",
     "run",
+    "run_ints",
     "tap_trace",
     "output_values",
 ]
@@ -310,7 +317,7 @@ class SystemState:
     def bits(self, reg_id: str) -> tuple[int, ...]:
         for rid, length, word in self.regs:
             if rid == reg_id:
-                return tuple((word >> i) & 1 for i in range(length))
+                return int_bits(word, length)
         raise KeyError(f"unknown register {reg_id!r}")
 
     def signature(self) -> tuple[tuple[str, int], ...]:
@@ -439,9 +446,23 @@ class _CompiledSystem:
         except CycleError:
             raise ValueError(f"no lane kernel at k={k}: lanes depend on each other") from None
         lanes = (1 << k) - 1
+        # cut to k bits: taps read linearly or recorded, and products of
+        # uncut taps (see the module docstring)
+        linear = [
+            t
+            for node in order
+            if node[0] != "t"
+            for t in (self._expr(node, wins)[0] or Anf()).terms
+            if t.degree == 1
+        ]
+        masked = set(targets) | set(self._taps(Anf(linear)))
 
-        def tap(v: Var) -> str:
-            return _var(("t", self.index[v.reg], v.idx))
+        def term(vs) -> str:
+            nodes = [("t", self.index[v.reg], v.idx) for v in vs]
+            names = [_var(t) for t in nodes]
+            if len(nodes) > 1 and masked.isdisjoint(nodes):
+                names.append(str(lanes))
+            return " & ".join(names)
 
         def out(i: int) -> str:
             return _var(("o", i, 0))
@@ -450,9 +471,10 @@ class _CompiledSystem:
         for node in order:
             kind, r, j = node
             if kind == "t":
-                parts = [self._tap(r, j, k, added)]
+                read = self._tap(r, j, k, added)
+                parts = [f"({read}) & {lanes}" if node in masked else read]
             else:
-                parts = self._parts(node, wins, tap, out, str(lanes))
+                parts = self._parts(node, wins, term, out, str(lanes))
             body.append(f"{_var(node)} = {_xor(parts)}")
             if kind == "g":
                 # the register word takes each window once, as it is computed
@@ -479,7 +501,7 @@ class _CompiledSystem:
         it), window j lands ``j + 1 - v`` lanes up (and ``n`` more through
         the fold), but the tap needs it ``(j - v) mod n + 1`` lanes up.
         Every shift in one set and not in the other, below k in size,
-        XORs the window in once more.
+        XORs the window in once more.  Lanes k and up hold other bits.
         """
         n, w = self.signature[r][1], f"w{r}"
         fold = n - v < k
@@ -491,7 +513,7 @@ class _CompiledSystem:
             for s in sorted(got ^ {(j - v) % n + 1}):
                 if -k < s < k:
                     parts.append(f"{g} << {s}" if s > 0 else f"{g} >> {-s}" if s else g)
-        return f"({_xor(parts)}) & {(1 << k) - 1}"
+        return _xor(parts)
 
     def plan(self, modes: frozenset, watch: tuple):
         """``(record, watched)``: how ``run`` observes ``watch`` under ``modes``.
@@ -521,8 +543,8 @@ class _CompiledSystem:
             s = f"s{record.setdefault((r, b), len(record))}"
             return f"{s} >> {v - b}" if v > b else s
 
-        def tap(v: Var) -> str:
-            return read(self.index[v.reg], v.idx)
+        def term(vs) -> str:
+            return " & ".join(read(self.index[v.reg], v.idx) for v in vs)
 
         def out(i: int) -> str:
             return f"o{i}"
@@ -531,7 +553,7 @@ class _CompiledSystem:
         # outputs, so index order evaluates them in time
         roots = [("o", self.out_index[t], 0) for t in watch if isinstance(t, str)]
         outs = sorted(i for kind, i, _ in self._graph(roots, {}, 1) if kind == "o")
-        body = [f"o{i} = {_xor(self._parts(('o', i, 0), {}, tap, out, 'mask'))}" for i in outs]
+        body = [f"o{i} = {_xor(self._parts(('o', i, 0), {}, term, out, 'mask'))}" for i in outs]
         values = [
             f"o{self.out_index[t]}" if isinstance(t, str) else read(self.index[t[0]], t[1])
             for t in watch
@@ -544,22 +566,25 @@ class _CompiledSystem:
         )
         return tuple(record), _exec(src, "watched", "<watched>")
 
-    def _parts(self, node, wins, tap, out, one: str) -> list[str]:
+    def _expr(self, node, wins) -> tuple[Anf | None, list[int]]:
+        """ANF and XORed-in output indices of a window ("g") or output ("o") node."""
+        kind, r, j = node
+        if kind == "g":
+            return self.tails.get((r, j)), wins[r, j]
+        out = self.outputs[r]
+        return out.expr, [self.out_index[ref] for ref in out.refs]
+
+    def _parts(self, node, wins, term, out, one: str) -> list[str]:
         """XOR operands of a window ("g") or output ("o") node, the one expression emitter.
 
-        Each product of the node's ANF is an ``&`` of ``tap(var)``, its
+        Each product of the node's ANF is ``term(its sorted vars)``, its
         constant is ``one`` (the all-ones word of the layout), and each
         output it XORs in is ``out(index)``.
         """
-        kind, r, j = node
-        if kind == "g":
-            expr, refs = self.tails.get((r, j)), wins[r, j]
-        else:
-            expr = self.outputs[r].expr
-            refs = [self.out_index[ref] for ref in self.outputs[r].refs]
+        expr, refs = self._expr(node, wins)
         parts = []
         if expr is not None:
-            parts = [" & ".join(map(tap, t.sorted_vars())) for t in expr.sorted_terms()]
+            parts = [term(t.sorted_vars()) for t in expr.sorted_terms()]
             parts += [one] * expr.const
         return parts + [out(i) for i in refs]
 
@@ -591,20 +616,20 @@ class _CompiledSystem:
         body = [f"{''.join(f'{name}, ' for name in cur.values())}= words"]
         for c in range(k):
 
-            def tap(v: Var) -> str:
-                return cur[self.index[v.reg], v.idx]
+            def term(vs) -> str:
+                return " & ".join(cur[self.index[v.reg], v.idx] for v in vs)
 
             def out(i: int) -> str:
                 return f"o{i}_{c}"
 
             for i in outs:
-                body.append(f"{out(i)} = {_xor(self._parts(('o', i, 0), wins, tap, out, 'ones'))}")
+                body.append(f"{out(i)} = {_xor(self._parts(('o', i, 0), wins, term, out, 'ones'))}")
             nxt = {}
             for r, j in cur:
                 above = cur[r, (j + 1) % self.signature[r][1]]
                 if (r, j) in wins:
                     nxt[r, j] = f"v{r}_{j}_{c + 1}"
-                    parts = [above] + self._parts(("g", r, j), wins, tap, out, "ones")
+                    parts = [above] + self._parts(("g", r, j), wins, term, out, "ones")
                     body.append(f"{nxt[r, j]} = {_xor(parts)}")
                 else:
                     nxt[r, j] = above
@@ -668,6 +693,18 @@ def run(
     are taken before stepping, so each sequence has exactly ``cycles``
     entries.  Returns the traces and the final state.
     """
+    values, out = run_ints(spec, state, cycles, modes, watch)
+    return {t: int_bits(v, cycles) for t, v in values.items()}, out
+
+
+def run_ints(
+    spec: SystemSpec,
+    state: SystemState,
+    cycles: int,
+    modes: Iterable[str] = frozenset(),
+    watch: Iterable = (),
+) -> tuple[dict, SystemState]:
+    """``run`` with each watched sequence as one int, its value at cycle c in bit c."""
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
     comp = spec._compiled
@@ -685,12 +722,12 @@ def run(
             if not 0 <= bit < comp.signature[comp.index[reg]][1]:
                 raise KeyError(f"watch bit {bit} outside register {reg!r}")
     modes = frozenset(modes)
-    traces, words = _run_words(comp, _words(state), cycles, modes, watch, comp.degree(modes))
-    return traces, _state(comp, words, state.cycle + cycles)
+    values, words = _run_words(comp, _words(state), cycles, modes, watch, comp.degree(modes))
+    return values, _state(comp, words, state.cycle + cycles)
 
 
 def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
-    """``run`` on packed words: ``cycles // k`` lane steps, then one of ``cycles % k``.
+    """``run_ints`` on packed words: ``cycles // k`` lane steps, then one of ``cycles % k``.
 
     The steps record the lane words of the watch plan's taps.  Each tap's
     words join into one whole-run int, bit c at cycle c, which the final
@@ -710,8 +747,7 @@ def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
         # popped, so each tap's lane words are freed once joined; a tap v
         # read from bit 0 needs bits 0..v-1 of the final word past the run
         seqs.append(_join(lanes.pop(0), k) | words[r] << cycles)
-    values = watched(seqs, (1 << cycles) - 1)
-    return {t: _bits(v, cycles) for t, v in zip(watch, values)}, words
+    return dict(zip(watch, watched(seqs, (1 << cycles) - 1))), words
 
 
 def _join(words: list, width: int) -> int:
@@ -722,14 +758,6 @@ def _join(words: list, width: int) -> int:
             pairs.append(words[-1])
         words, width = pairs, 2 * width
     return words[0] if words else 0
-
-
-def _bits(value: int, count: int) -> tuple[int, ...]:
-    """Bits 0..count-1 of ``value``, bit 0 first."""
-    return tuple(bin(value | 1 << count)[:2:-1].encode().translate(_BITS))
-
-
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _lanes_match(spec: SystemSpec, state: SystemState, cycles: int, modes, k: int) -> bool:

@@ -21,10 +21,10 @@ native mode is a deterministic behavior of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .bits import pack_bits, unpack_hex
-from .engine import SystemSpec, SystemState, run
+from .bits import int_bits, pack_int, unpack_hex, unpack_int
+from .engine import SystemSpec, SystemState, run, run_ints
 from .transform import map_system_state
 from . import variants as _variants
 
@@ -38,6 +38,7 @@ __all__ = [
     "load",
     "initialize",
     "generate_keystream",
+    "generate_keystream_int",
     "keystream",
     "state_to_hex",
     "state_from_hex",
@@ -156,12 +157,23 @@ def initialize(v: GrainVariant, state: SystemState, mode: str = "native") -> Sys
     return map_system_state(fib.system, v.system, fib_done)
 
 
+def generate_keystream_int(
+    v: GrainVariant, state: SystemState, nbits: int
+) -> tuple[int, SystemState]:
+    """Emit Z then step, nbits times, with the init loops open.
+
+    The keystream is one int, its bit c emitted at cycle c.
+    """
+    values, out = run_ints(v.system, state, nbits, watch=("Z",))
+    return values["Z"], out
+
+
 def generate_keystream(
     v: GrainVariant, state: SystemState, nbits: int
 ) -> tuple[tuple[int, ...], SystemState]:
-    """Emit Z then step, nbits times, with the init loops open."""
-    traces, out = run(v.system, state, nbits, modes=frozenset(), watch=("Z",))
-    return traces.get("Z", ()), out
+    """``generate_keystream_int`` with the keystream as a sequence of bits."""
+    value, out = generate_keystream_int(v, state, nbits)
+    return int_bits(value, nbits), out
 
 
 def keystream(
@@ -179,8 +191,7 @@ def state_to_hex(v: GrainVariant, state: SystemState) -> str:
     cycle counter is appended as ``@<cycle>`` so the round trip is
     lossless mid-run.
     """
-    parts = [pack_bits(state.bits(reg.id)) for reg in v.system.registers]
-    text = "".join(parts)
+    text = "".join(pack_int(state.word(reg.id), reg.length) for reg in v.system.registers)
     if state.cycle:
         text += f"@{state.cycle}"
     return text
@@ -194,7 +205,7 @@ def state_from_hex(v: GrainVariant, text: str) -> SystemState:
         if not suffix.isdigit():
             raise ValueError(f"bad cycle suffix {suffix!r}")
         cycle = int(suffix)
-    values: dict[str, Sequence[int]] = {}
+    regs = []
     pos = 0
     for reg in v.system.registers:
         digits = 2 * ((reg.length + 7) // 8)
@@ -203,8 +214,8 @@ def state_from_hex(v: GrainVariant, text: str) -> SystemState:
             raise ValueError(
                 f"state text too short: register {reg.id!r} needs {digits} hex digits"
             )
-        values[reg.id] = unpack_hex(chunk, reg.length)
+        regs.append((reg.id, reg.length, unpack_int(chunk, reg.length)))
         pos += digits
     if pos != len(text):
         raise ValueError(f"trailing characters after state: {text[pos:]!r}")
-    return SystemState.from_bits(v.system, values, cycle=cycle)
+    return SystemState(tuple(regs), cycle)

@@ -761,6 +761,9 @@ def _prefix_classes(
     their multisets differ too.  A length that splits no class ends the
     check with the multisets equal: longer prefixes separate nothing more,
     so the classes of the length before it are those of the horizon.
+    Balance is tested first: at a raw length, side a's distinct prefixes
+    count the classes of both sides only when the sides balance, and an
+    unbalanced length always splits a class, so no verdict moves.
     Returns the classes, their length (the horizon when every length split
     a class and the multisets stayed equal) and whether the multisets are
     equal.  Each strict refinement adds a class, so the partition of the
@@ -776,8 +779,15 @@ def _prefix_classes(
     for nxt in _checked_lengths(n, horizon):
         if nxt <= longest:
             (oa, _), (ob, _) = walks
-            refined = _unslice(oa[:nxt], size) + _unslice(ob[:nxt], size)
-            classes, step = len(set(refined)), None
+            pa, pb = _unslice(oa[:nxt], size), _unslice(ob[:nxt], size)
+            refined, step = pa + pb, None
+            seen = set(pa)
+            classes = len(seen)  # of both sides, when they balance
+            if classes == size:  # then b's 2**n prefixes balance iff they are these
+                seen.difference_update(pb)
+                balanced = not seen
+            else:
+                balanced = sorted(pa) == sorted(pb)
         else:
             if length == longest:  # hand the raw classes over to numbered refinement
                 (_, wa), (_, wb) = walks
@@ -794,11 +804,13 @@ def _prefix_classes(
             ids: dict[int, int] = {}
             refined = [ids.setdefault(h * base + cls[t], len(ids)) for h, t in zip(head, step)]
             classes = base = len(ids)
+            # splitting no class, the length balances as the one before did
+            balanced = classes == count or _balanced(refined, size)
+        if not balanced:
+            return refined, nxt, False
         if classes == count:
             return cls, length, True
         cls, count, length = refined, classes, nxt
-        if not _balanced(cls, size):
-            return cls, length, False
         if step:
             jump = [jump[t] for t in step]
     return cls, length, True
@@ -809,7 +821,7 @@ def _balanced(cls: list[int], size: int) -> bool:
 
     When the first ``size`` entries are all in different classes, that is
     whether the rest are in exactly those classes: a set comparison, which
-    is cheaper than sorting (raw prefixes sort slower than small ids).
+    is cheaper than sorting.
     """
     a = set(cls[:size])
     if len(a) == size:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grainkit.bits import pack_bits, unpack_hex
+from grainkit.bits import int_bits, pack_bits, pack_int, unpack_hex, unpack_int
 
 
 def test_single_set_bit_is_lsb_of_first_byte():
@@ -80,3 +80,21 @@ def test_pack_bits_matches_per_bit_reference(bits, order, bad, as_iterator):
     want = _outcome(_pack_bits_per_bit, bits, order)
     got = _outcome(pack_bits, iter(bits) if as_iterator else tuple(bits), order)
     assert got == want
+
+
+@given(st.lists(st.integers(0, 1), max_size=300), st.sampled_from(["lsb", "msb"]))
+def test_int_forms_match_the_per_bit_reference(bits, order):
+    value = sum(bit << m for m, bit in enumerate(bits))
+    text = pack_int(value, len(bits), order)
+    assert text == _pack_bits_per_bit(bits, order)
+    assert unpack_int(text, len(bits), order) == value
+    assert int_bits(value, len(bits)) == tuple(bits)
+
+
+def test_pack_int_rejects_values_that_do_not_fit():
+    with pytest.raises(ValueError, match="does not fit in 2 bits"):
+        pack_int(0b100, 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        pack_int(-1, 8)
+    with pytest.raises(ValueError, match="unknown bit order"):
+        pack_int(1, 8, order="middle")

@@ -4,16 +4,18 @@ The Python library block runs with ``exec``.  Every ``grainkit ...``
 command in a shell block whose next line is a ``# <output>`` comment runs
 through ``cli.main``, and its first stdout line must equal that comment,
 or start with it when the comment ends in ``...``.  The lane-count table
-must equal the engine's derived degrees.
+must equal the engine's derived degrees, and the quoted operator counts
+those of the generated keystream kernels.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from grainkit import INIT_MODE, VARIANT_NAMES, variant, variants
+from grainkit import INIT_MODE, VARIANT_NAMES, engine, variant, variants
 from grainkit.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -89,3 +91,33 @@ def test_lane_count_table_matches_the_engine():
 def test_the_shown_galois_script_is_the_bundled_one():
     _, text = variants._SCRIPTS["grain80-galois-8"]
     assert f"```\n{text.strip()}\n```" in README
+
+
+def _keystream_kernel_operators(name: str, monkeypatch) -> tuple[int, int]:
+    """(operators in one key-generation lane step, cycles per step) of the
+    kernel ``keystream`` runs: every binary operator and augmented
+    assignment in the loop body of its generated source."""
+    sources = []
+    real = engine._exec
+    monkeypatch.setattr(
+        engine, "_exec", lambda src, *args: sources.append(src) or real(src, *args)
+    )
+    comp = variant(name).system._compiled
+    keygen = frozenset()
+    k = comp.degree(keygen)
+    record, _ = comp.plan(keygen, ("Z",))
+    comp._compile(keygen, k, record)
+    loop = next(n for n in ast.walk(ast.parse(sources[-1])) if isinstance(n, ast.For))
+    ops = sum(isinstance(n, (ast.BinOp, ast.AugAssign)) for line in loop.body for n in ast.walk(line))
+    return ops, k
+
+
+def test_quoted_operator_counts_match_the_generated_kernels(monkeypatch):
+    text = " ".join(README.split())
+    galois, cycles, fib = re.search(
+        r"`grain80-galois-1` takes (\d+) operators per (\d+)-cycle key-generation step, "
+        r"against (\d+) for `grain80-fib`",
+        text,
+    ).groups()
+    assert _keystream_kernel_operators("grain80-galois-1", monkeypatch) == (int(galois), int(cycles))
+    assert _keystream_kernel_operators("grain80-fib", monkeypatch) == (int(fib), int(cycles))

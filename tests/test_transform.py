@@ -1213,14 +1213,16 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
         11: parse_expr("r[12] + r[2]*r[9]*r[13]"),
         10: parse_expr("r[11] + r[5]*r[8]"),
     })
-    compared = []
-    real = transform._balanced
+    read = []
+    real_unslice = transform._unslice
     monkeypatch.setattr(
-        transform, "_balanced", lambda cls, size: compared.append(len(cls)) or real(cls, size)
+        transform, "_unslice",
+        lambda words, count: read.append(len(words)) or real_unslice(words, count),
     )
     verdict = check_equivalence_exhaustive(a, b)
     assert not verdict.equal and verdict.horizon == 1 << 14
-    assert compared == [2 << 14]
+    # both sides' 16-bit prefixes, then the witness's walk: 1 output plane, 14 words
+    assert read == [16, 16, 1, 14]
     px, py = _walked_prefixes(a, 32), _walked_prefixes(b, 32)
     assert len(set(px + py)) > len({p[:16] for p in px + py})  # still splitting at 32 bits
     # the default horizon checks 16 bits, then 32, as horizon 32 does
@@ -1232,12 +1234,6 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
     # unsliced, which numbered rounds past 64 bits would need first.  The
     # equal sibling, b against its own collapse, stops when 32 bits split
     # no class.
-    read = []
-    real_unslice = transform._unslice
-    monkeypatch.setattr(
-        transform, "_unslice",
-        lambda words, count: read.append(len(words)) or real_unslice(words, count),
-    )
     fib = collapse_to_fibonacci(b)
     for x, y, equal, lengths in ((a, b, False, [16, 16]), (fib, b, True, [16, 16, 32, 32])):
         read.clear()
