@@ -726,27 +726,42 @@ def run_ints(
     return values, _state(comp, words, state.cycle + cycles)
 
 
+# Lane steps per chunk of a run.  Each chunk's recorded lane words (a
+# Python int each) are joined into one int per tap before the next chunk
+# runs, so a long keystream holds packed bits rather than lists of words.
+_CHUNK = 1 << 14
+
+
 def _run_words(comp: _CompiledSystem, words, cycles: int, modes, watch, k: int):
     """``run_ints`` on packed words: ``cycles // k`` lane steps, then one of ``cycles % k``.
 
-    The steps record the lane words of the watch plan's taps.  Each tap's
-    words join into one whole-run int, bit c at cycle c, which the final
-    state's word extends past ``cycles``; the watched signals are then
-    evaluated once over those ints.
+    The steps, in chunks of at most ``_CHUNK``, record the lane words of
+    the watch plan's taps.  Each chunk's words join into one int per tap,
+    the rest step's word joining the last chunk, and the chunks into one
+    whole-run int, bit c at cycle c, which the final state's word extends
+    past ``cycles``; the watched signals are then evaluated once over
+    those ints.
     """
     record, watched = comp.plan(modes, watch)
     blocks, rest = divmod(cycles, k)
     lanes = [[] for _ in record]
-    if blocks:
-        words = comp.kernel(modes, k, record)(words, blocks, lanes)
+    chunks = [[] for _ in record]
+    for done in range(0, blocks, _CHUNK):
+        if done:  # join the chunk before
+            for chunk, lane in zip(chunks, lanes):
+                chunk.append(_join(lane, k))
+                lane.clear()
+        words = comp.kernel(modes, k, record)(words, min(_CHUNK, blocks - done), lanes)
     if rest:
         # legal below k too (see ``degree``); _join puts its narrower word last
         words = comp.kernel(modes, rest, record)(words, 1, lanes)
     seqs = []
     for r, _ in record:
-        # popped, so each tap's lane words are freed once joined; a tap v
-        # read from bit 0 needs bits 0..v-1 of the final word past the run
-        seqs.append(_join(lanes.pop(0), k) | words[r] << cycles)
+        # popped, so each tap's words are freed once joined; a tap v read
+        # from bit 0 needs bits 0..v-1 of the final word past the run
+        chunk = chunks.pop(0)
+        chunk.append(_join(lanes.pop(0), k))
+        seqs.append(_join(chunk, _CHUNK * k) | words[r] << cycles)
     return dict(zip(watch, watched(seqs, (1 << cycles) - 1))), words
 
 

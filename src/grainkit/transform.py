@@ -631,13 +631,13 @@ def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
 def _walk(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
     """``_planes`` transposed: every state's ``cycles``-bit prefix and successor as ints.
 
-    ``_walk(spec, 1)[1]`` is the transition table.  Prefixes of up to 64
-    bits fit ``_unslice``'s widest field.  The register's sliced kernel is
-    compiled on its first walk only, so the witness of a check walks side
-    a again with the kernel the check compiled.
+    ``_walk(spec, 1)[1]`` is the transition table, which numbered rounds
+    past 64 bits and their witness need as lists.  Prefixes of up to 64
+    bits fit ``_unslice``'s widest field.
     """
     outputs, words = _planes(spec, cycles)
-    return _unslice(outputs, 1 << spec.length), _unslice(words, 1 << spec.length)
+    size = 1 << spec.length
+    return _unslice(outputs, size).tolist(), _unslice(words, size).tolist()
 
 
 def _identity_plane(n: int, i: int) -> int:
@@ -666,7 +666,7 @@ def _bit_pattern(i: int, size: int) -> bytes:
 _BLOCK = 1 << 14
 
 
-def _unslice(words: list[int], count: int) -> list[int]:
+def _unslice(words: list[int], count: int) -> array:
     """Instances 0..count-1 of the sliced layout as packed ints, bit i from ``words[i]``.
 
     A blocked bit-matrix transpose (Warren, *Hacker's Delight*, 2nd ed.,
@@ -679,7 +679,8 @@ def _unslice(words: list[int], count: int) -> list[int]:
     ``rows`` extended-slice assignments put the states in order.  The
     last block is padded with zero states.  Fields are read little-endian
     and swapped on a big-endian host, so nothing depends on the host's
-    byte order or C integer sizes.
+    byte order or C integer sizes.  Returns the fields' ``array``, a few
+    bytes per instance, for callers to keep or convert.
     """
     code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= len(words))
     rows = array(code).itemsize * 8
@@ -700,7 +701,7 @@ def _unslice(words: list[int], count: int) -> list[int]:
     del table[count:]
     if sys.byteorder == "big":
         table.byteswap()
-    return table.tolist()
+    return table
 
 
 @functools.cache
@@ -742,7 +743,7 @@ def _checked_lengths(n: int, horizon: int) -> Iterator[int]:
 
 def _prefix_classes(
     spec_a: RegisterSpec, spec_b: RegisterSpec, horizon: int
-) -> tuple[list[int], int, bool]:
+) -> tuple[Sequence[int], int, bool, bool]:
     """Class the states of both registers by their output prefixes, up to ``horizon`` bits.
 
     Side a's state s is entry s, side b's is entry 2**n + s (whose bit 0 is
@@ -750,70 +751,78 @@ def _prefix_classes(
     ``_checked_lengths``.  Up to 64 bits, ``_unslice``'s widest field, the
     classes at length l are the raw l-bit prefixes: one ``_planes`` walk
     of each register runs to the longest such length, and each checked
-    length l transposes the first l output planes of both.  Past 64
-    bits, numbered refinement takes over from the raw classes at the last
-    raw length l and that walk's l-step successor J: (cls[s], cls[J[s]])
-    classes the 2l-bit prefixes, and (s & 1, cls[succ[s]]) the (l + 1)-bit
-    ones, with the unit-step table built only then.
+    length l transposes the first l output planes of both into two
+    ``array``s.  Side a's feeds one set, which side b's empties when side
+    a is discrete, and nothing else of a raw length outlives it but its
+    class count.  Past 64 bits, numbered refinement takes over from the
+    raw classes at the last raw length l and that walk's l-step successor
+    J: (cls[s], cls[J[s]]) classes the 2l-bit prefixes, and
+    (s & 1, cls[succ[s]]) the (l + 1)-bit ones, with the unit-step table
+    built only then.
 
     The check stops at the first length where the two sides' class
     multisets differ: the prefixes of every longer length refine those, so
     their multisets differ too.  A length that splits no class ends the
     check with the multisets equal: longer prefixes separate nothing more,
-    so the classes of the length before it are those of the horizon.
-    Balance is tested first: at a raw length, side a's distinct prefixes
-    count the classes of both sides only when the sides balance, and an
-    unbalanced length always splits a class, so no verdict moves.
-    Returns the classes, their length (the horizon when every length split
-    a class and the multisets stayed equal) and whether the multisets are
-    equal.  Each strict refinement adds a class, so the partition of the
-    2**(n+1) entries is stable from some length below 2**(n+1), and the
-    returned length is below 2**(n+2).  Returning drops the walks and
-    tables before the caller builds a witness.
+    so its classes are those of the horizon.  Balance is tested first: at
+    a raw length, side a's distinct prefixes count the classes of both
+    sides only when the sides balance, and an unbalanced length always
+    splits a class, so no verdict moves.
+    Returns the classes (at a raw length, both sides' prefixes as one
+    ``array``), their length (the horizon when every length split a class
+    and the multisets stayed equal), whether the multisets are equal, and
+    whether side a's states are all in different classes, which only a
+    raw length tells (false past 64 bits).
+    Each strict refinement adds a class, so the partition of the
+    2**(n+1) entries is stable from some length below 2**(n+1): the
+    first checked length at or past it is below 2**(n+2), and an unequal
+    verdict's length is at most that.
     """
     n = spec_a.length
     size = 1 << n
+    lengths = _checked_lengths(n, horizon)
     longest = max(takewhile(lambda length: length <= 64, _checked_lengths(n, horizon)))
     walks = [_planes(spec, longest) for spec in (spec_a, spec_b)]
-    cls, count, length = [], 0, 0
-    for nxt in _checked_lengths(n, horizon):
-        if nxt <= longest:
-            (oa, _), (ob, _) = walks
-            pa, pb = _unslice(oa[:nxt], size), _unslice(ob[:nxt], size)
-            refined, step = pa + pb, None
-            seen = set(pa)
-            classes = len(seen)  # of both sides, when they balance
-            if classes == size:  # then b's 2**n prefixes balance iff they are these
-                seen.difference_update(pb)
-                balanced = not seen
-            else:
-                balanced = sorted(pa) == sorted(pb)
+    count = 0
+    for length in lengths:
+        pa, pb = (_unslice(outputs[:length], size) for outputs, _ in walks)
+        seen = set(pa)
+        classes = len(seen)  # of both sides, when they balance
+        if classes == size:  # then b's 2**n prefixes balance iff they are these
+            seen.difference_update(pb)
+            balanced = not seen
         else:
-            if length == longest:  # hand the raw classes over to numbered refinement
-                (_, wa), (_, wb) = walks
-                del walks
-                jump = _unslice(wa, size) + [size + t for t in _unslice(wb, size)]
-                base, out, succ = 1 << length, [], []  # a raw prefix is below 2**length
-            if nxt == 2 * length:
-                head, step = cls, jump
-            else:
-                if not succ:
-                    succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
-                    out = [0, 1] * size  # bit 0 of every entry
-                head, step = out, succ
-            ids: dict[int, int] = {}
-            refined = [ids.setdefault(h * base + cls[t], len(ids)) for h, t in zip(head, step)]
-            classes = base = len(ids)
-            # splitting no class, the length balances as the one before did
-            balanced = classes == count or _balanced(refined, size)
-        if not balanced:
-            return refined, nxt, False
-        if classes == count:
-            return cls, length, True
+            balanced = sorted(pa) == sorted(pb)
+        del seen
+        if not balanced or classes == count or length == horizon:
+            return pa + pb, length, balanced, classes == size
+        count = classes
+        if length == longest:
+            break
+    # hand the raw classes over to numbered refinement
+    cls, (wa, wb) = pa + pb, [words for _, words in walks]
+    del pa, pb, walks
+    jump = _unslice(wa, size).tolist() + [size + t for t in _unslice(wb, size)]
+    del wa, wb
+    base, out, succ = 1 << length, [], []  # a raw prefix is below 2**length
+    for nxt in lengths:
+        if nxt == 2 * length:
+            head, step = cls, jump
+        else:
+            if not succ:
+                succ = _walk(spec_a, 1)[1] + [size + t for t in _walk(spec_b, 1)[1]]
+                out = [0, 1] * size  # bit 0 of every entry
+            head, step = out, succ
+        ids: dict[int, int] = {}
+        refined = [ids.setdefault(h * base + cls[t], len(ids)) for h, t in zip(head, step)]
+        classes = base = len(ids)
+        # splitting no class, the length balances as the one before did
+        balanced = classes == count or _balanced(refined, size)
+        if not balanced or classes == count:
+            return refined, nxt, balanced, False
         cls, count, length = refined, classes, nxt
-        if step:
-            jump = [jump[t] for t in step]
-    return cls, length, True
+        jump = [jump[t] for t in step]
+    return cls, length, True, False
 
 
 def _balanced(cls: list[int], size: int) -> bool:
@@ -847,9 +856,10 @@ def check_equivalence_exhaustive(
     An unequal verdict names the first state of ``spec_a`` whose class is
     unbalanced at the first checked length where the multisets differ,
     with its output prefix of that length: that prefix occurs a different
-    number of times on the two sides.  It is not necessarily the shortest
-    such prefix; a shorter one may lie between the last two checked
-    lengths.
+    number of times on the two sides.  Up to 64 bits the prefix is the
+    state's class itself; past 64 bits it is walked in side a's transition
+    table.  It is not necessarily the shortest such prefix; a shorter one
+    may lie between the last two checked lengths.
     """
     n = spec_a.length
     if spec_b.length != n:
@@ -862,18 +872,25 @@ def check_equivalence_exhaustive(
     if horizon < 1:
         raise ValueError("horizon must be positive")
     size = 1 << n
-    cls, length, equal = _prefix_classes(spec_a, spec_b, horizon)
+    cls, length, equal, discrete = _prefix_classes(spec_a, spec_b, horizon)
     if equal:
         return ExhaustiveVerdict(True, size, horizon)
     # Both sides hold 2**n states, so some unbalanced class holds more of
     # side a than of side b: the first unbalanced state is always on side a.
-    ca, cb = Counter(cls[:size]), Counter(cls[size:])
-    state = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
-    table = _walk(spec_a, 1)[1]
-    prefix, s = [], state
-    for _ in range(length):
-        prefix.append(s & 1)
-        s = table[s]
+    cb = Counter(cls[size:])
+    if discrete:  # each of side a's classes holds one of its states
+        state = next(s for s, c in enumerate(cls) if cb[c] != 1)
+    else:
+        ca = Counter(cls[:size])
+        state = next(s for s, c in enumerate(cls) if ca[c] != cb[c])
+    if length <= 64:  # the class is the raw prefix, output bit c in bit c
+        prefix = tuple(cls[state] >> c & 1 for c in range(length))
+    else:
+        table = _walk(spec_a, 1)[1]
+        prefix, s = [], state
+        for _ in range(length):
+            prefix.append(s & 1)
+            s = table[s]
     return ExhaustiveVerdict(False, size, horizon, PrefixCounterexample(state, tuple(prefix)))
 
 

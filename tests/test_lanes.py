@@ -198,6 +198,30 @@ def test_a_tap_read_across_the_top_meets_a_low_window_twice():
         assert traces == {t: as_int(want[t]) for t in watch}, k
 
 
+def test_runs_in_chunks_match_unit_steps(monkeypatch):
+    # Chunks of 1 to 3 lane steps, each chunk's lane words joined before
+    # the next chunk runs, with and without a rest step, against the
+    # one-cycle reference; then a Galois keystream, chunked and not.
+    reg = RegisterSpec("r", 16, {0: Anf.parse("r[1] + r[3]*r[5]")})
+    spec = SystemSpec([reg], [OutputSpec("O", Anf.parse("r[7] + r[2]*r[9]"))])
+    comp = spec._compiled
+    modes, watch = frozenset(), ("O",) + tuple(("r", i) for i in range(16))
+    bits = {"r": [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]}
+    start = _words(SystemState.from_bits(spec, bits))
+    v = variant("grain80-galois-1")
+    native = initialize(v, load(v, KeyIv([1, 0] * 40, [0, 1] * 32)), mode="native")
+    whole = run_ints(v.system, native, 1000, watch=("Z",))
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        for k in (1, 5, 12):
+            for cycles in sorted({0, k - 1, k, 3 * k, 7 * k + 2}):
+                want, states = reference(spec, bits, cycles, modes, watch)
+                traces, words = _run_words(comp, start, cycles, modes, watch, k)
+                assert words == packed(spec, states[cycles]), (chunk, k, cycles)
+                assert traces == {t: as_int(want[t]) for t in watch}, (chunk, k, cycles)
+        assert run_ints(v.system, native, 1000, watch=("Z",)) == whole, chunk
+
+
 def test_random_shift_script_registers_at_every_legal_k():
     rng = random.Random(0x5EED)
     for _ in range(30):

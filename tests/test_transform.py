@@ -3,9 +3,11 @@ import sys
 import tracemalloc
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import grainkit
 from grainkit import variant
 from grainkit import engine, transform, variants
 from grainkit.anf import (
@@ -48,7 +50,7 @@ from grainkit.transform import (
     required_terminal_bit,
     terminal_bit,
 )
-from conftest import ALL_VARIANTS, GALOIS_VARIANTS, rand_bits
+from conftest import ALL_VARIANTS, GALOIS_VARIANTS, rand_bits, run_fresh
 from test_acceptance import _mutate_one_term, _random_uniform_transformation
 
 # The bundled 1 bit/cycle Grain-80 configuration's script: one move per
@@ -976,7 +978,7 @@ def test_unslice_matches_a_per_bit_transpose():
             expected = [
                 sum(((w >> t) & 1) << i for i, w in enumerate(words)) for t in range(count)
             ]
-            assert transform._unslice(words, count) == expected, (count, nwords)
+            assert transform._unslice(words, count).tolist() == expected, (count, nwords)
 
 
 def _byte_plane_unslice(words: list[int], count: int) -> list[int]:
@@ -1018,9 +1020,8 @@ def test_unslice_matches_the_byte_plane_transpose():
             nplanes = [rng.randint(*widths[i % 4])]
         for n in nplanes:
             words = [rng.getrandbits(count) for _ in range(n)]
-            assert transform._unslice(words, count) == _byte_plane_unslice(words, count), (
-                count, n
-            )
+            got = transform._unslice(words, count).tolist()
+            assert got == _byte_plane_unslice(words, count), (count, n)
 
 
 def test_identity_plane_holds_bit_i_of_every_state():
@@ -1221,8 +1222,8 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
     )
     verdict = check_equivalence_exhaustive(a, b)
     assert not verdict.equal and verdict.horizon == 1 << 14
-    # both sides' 16-bit prefixes, then the witness's walk: 1 output plane, 14 words
-    assert read == [16, 16, 1, 14]
+    # both sides' 16-bit prefixes; the witness is read off its class, with no walk
+    assert read == [16, 16]
     px, py = _walked_prefixes(a, 32), _walked_prefixes(b, 32)
     assert len(set(px + py)) > len({p[:16] for p in px + py})  # still splitting at 32 bits
     # the default horizon checks 16 bits, then 32, as horizon 32 does
@@ -1233,15 +1234,69 @@ def test_exhaustive_check_stops_where_the_sides_first_differ(monkeypatch):
     # walk's output planes only: no successor table (n = 14 planes) is
     # unsliced, which numbered rounds past 64 bits would need first.  The
     # equal sibling, b against its own collapse, stops when 32 bits split
-    # no class.
+    # no class, and returns the classes of that length.
     fib = collapse_to_fibonacci(b)
-    for x, y, equal, lengths in ((a, b, False, [16, 16]), (fib, b, True, [16, 16, 32, 32])):
+    cases = ((a, b, False, 16, [16, 16]), (fib, b, True, 32, [16, 16, 32, 32]))
+    for x, y, equal, final, lengths in cases:
         read.clear()
-        cls, length, same = transform._prefix_classes(x, y, 1 << 14)
-        assert (same, length, read) == (equal, 16, lengths)
-        packed = [sum(bit << c for c, bit in enumerate(p[:16])) for p in
-                  _walked_prefixes(x, 16) + _walked_prefixes(y, 16)]
-        assert cls == packed
+        cls, length, same, discrete = transform._prefix_classes(x, y, 1 << 14)
+        assert (same, length, read) == (equal, final, lengths)
+        packed = [sum(bit << c for c, bit in enumerate(p)) for p in
+                  _walked_prefixes(x, final) + _walked_prefixes(y, final)]
+        assert list(cls) == packed
+        assert discrete == (len(set(packed[:1 << 14])) == 1 << 14)
+
+
+def test_raw_classes_and_witnesses_are_the_walked_prefixes():
+    # Seeded pairs of 3 to 14 bits, each equal pair and its sibling with
+    # one variable swapped, in both orders.  Where the check decides at a
+    # raw length (64 bits at most), the classes it returns are both sides'
+    # packed prefixes of that length, and an unequal verdict's witness is
+    # read off its state's class, whether or not side a's states are all
+    # in different classes.  An equal verdict's last length split no class,
+    # or was the horizon.
+    rng = random.Random(0xA77A)
+    seen = Counter()
+    for n in range(3, 15):
+        fib, gal = _random_uniform_transformation(rng, sizes=(n, n))
+        bad = _mutate_one_term(rng, gal)
+        checks = []
+        for x, y in ((fib, gal), (gal, fib), (fib, bad), (bad, fib)):
+            for horizon in sorted({1, n, 33, 65, 100, 1 << n}):
+                checks.append((x, y, horizon, transform._prefix_classes(x, y, horizon),
+                               check_equivalence_exhaustive(x, y, horizon)))
+        longest = max(length for *_, (_, length, _, _), _ in checks)
+        assert longest <= 64  # such pairs never reach a numbered round
+        walked = {}
+        for spec in (fib, gal, bad):
+            full = _walked_prefixes(spec, longest)
+            walked[id(spec)] = full, [int("".join(map(str, p[::-1])), 2) for p in full]
+        cuts = {}
+
+        def prefixes(spec: RegisterSpec, length: int) -> tuple[list, list[int]]:
+            """Every state's ``length``-bit prefix, as a tuple and packed (bit c at 2**c)."""
+            if (id(spec), length) not in cuts:
+                full, packed = walked[id(spec)]
+                mask = (1 << length) - 1
+                cuts[id(spec), length] = [p[:length] for p in full], [p & mask for p in packed]
+            return cuts[id(spec), length]
+
+        for x, y, horizon, (cls, length, equal, discrete), verdict in checks:
+            assert verdict.equal == equal, (x, y, horizon)
+            (px, packed_x), (py, packed_y) = prefixes(x, length), prefixes(y, length)
+            assert list(cls) == packed_x + packed_y, (x, y, horizon)
+            assert discrete == (len(set(px)) == 1 << n)
+            if not equal:
+                seen["unequal, side a discrete" if discrete else "unequal"] += 1
+                _assert_witness(verdict.counterexample, n, length, px, py)
+                continue
+            seen["equal"] += 1
+            assert Counter(px) == Counter(py)
+            lengths = _checked_lengths(n, horizon)
+            if length != horizon:
+                before = lengths[lengths.index(length) - 1]
+                assert len({p[:before] for p in px + py}) == len(set(px + py))
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
 
 
 def test_exhaustive_check_compiles_each_registers_kernel_once(monkeypatch):
@@ -1288,4 +1343,27 @@ def test_exhaustive_check_memory_grows_with_states_not_horizon():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_twenty_bit_check_peaks_below_a_bound(tmp_path):
+    # An equal 20-bit pair, the widest the check takes, at horizon 4096 in
+    # a fresh process: the set of one side's 64-bit prefixes dominates the
+    # peak, which read about 170 MiB on CPython 3.11 (310 MiB while the
+    # prefixes were lists).  The allocator moves it by up to 10%.
+    src = Path(grainkit.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from grainkit.anf import parse_expr\n"
+        "from grainkit.engine import RegisterSpec\n"
+        "from grainkit.transform import check_equivalence_exhaustive\n"
+        "fib = {19: 'r[0] + r[1]*r[15] + r[1]*r[6]*r[15] + r[2] + r[7]'}\n"
+        "gal = {18: 'r[0]*r[14] + r[0]*r[5]*r[14] + r[19] + r[6]', 17: 'r[0] + r[18]'}\n"
+        "fib, gal = (RegisterSpec('r', 20, {b: parse_expr(e) for b, e in f.items()})\n"
+        "            for f in (fib, gal))\n"
+        "assert check_equivalence_exhaustive(fib, gal, 4096).equal\n"
+    )
+    status, peak = run_fresh(code, [], tmp_path / "stdout.txt")
+    assert status == 0
+    assert peak < 230, f"peak {peak:.0f} MiB"
