@@ -330,7 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="key as hex")
     p.add_argument("--iv", required=True, help="IV as hex")
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--mode", choices=("equivalence", "native"), default="equivalence")
+    p.add_argument(
+        "--mode", choices=("equivalence", "native"), default="equivalence",
+        help="init from the key and IV mapped as the sibling's state (default) or unmapped",
+    )
     p.add_argument("--bit-order", choices=("lsb", "msb"), default="lsb")
     add_repair(p)
     p.set_defaults(func=_cmd_keystream)

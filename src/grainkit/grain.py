@@ -6,16 +6,15 @@ initialization the Z output is XORed into the top bit of both registers
 and nothing is emitted; afterwards the loops open and Z is the
 keystream.
 
-Galois configurations support two initialization modes.  ``native``
-clocks the variant's own system through the init phase.  ``equivalence``
-instead initializes the Fibonacci sibling and converts the resulting
-state with ``transform.map_system_state``, the one state-mapping
-routine, meant to reproduce the sibling's keystream bit for bit.  That is
-checked, not proved: each register must collapse back to its Fibonacci
-sibling (``transform.collapse_to_fibonacci``), and the seeded mapped
-simulation (``transform.check_equivalence_mapped``) finds the two
-systems equal on its trials.  The two modes disagree on Galois variants;
-native mode is a deterministic behavior of its own.
+Both initialization modes clock the variant's own system through the
+init phase.  ``equivalence`` first maps the loaded state, as one of the
+Fibonacci sibling, with ``transform.map_system_state``.  Every injection
+lands on a top bit and every output taps at or below the terminal bits,
+so mapping commutes with a step (Dubrova 2009) and the variant replays
+the sibling's keystream bit for bit.  That is checked, not proved: each
+register must collapse back to its sibling, and the seeded mapped check
+finds the two systems equal on its trials.  ``native`` clocks the load
+unmapped; on Galois variants that is a deterministic behavior of its own.
 """
 
 from __future__ import annotations
@@ -139,22 +138,19 @@ def load(v: GrainVariant, keyiv: KeyIv) -> SystemState:
 
 
 def initialize(v: GrainVariant, state: SystemState, mode: str = "native") -> SystemState:
-    """Clock through the init phase; no keystream is produced.
+    """Clock the variant's own system through the init phase; no keystream.
 
-    ``native`` runs the variant's own system.  ``equivalence`` runs the
-    Fibonacci sibling and maps the resulting register contents into this
-    variant's configuration.
+    ``equivalence`` first maps the load as the Fibonacci sibling's state;
+    ``native`` does not.
     """
     if state.cycle != 0:
         raise ValueError("initialize expects a freshly loaded state")
-    if mode == "native":
-        _, out = run(v.system, state, v.init_cycles, modes={INIT_MODE})
-        return out
-    if mode != "equivalence":
+    if mode == "equivalence":
+        state = map_system_state(v.fib_variant().system, v.system, state)
+    elif mode != "native":
         raise ValueError(f"unknown initialization mode {mode!r}")
-    fib = v.fib_variant()
-    _, fib_done = run(fib.system, state, v.init_cycles, modes={INIT_MODE})
-    return map_system_state(fib.system, v.system, fib_done)
+    _, out = run(v.system, state, v.init_cycles, modes={INIT_MODE})
+    return out
 
 
 def generate_keystream_int(

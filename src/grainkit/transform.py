@@ -336,12 +336,16 @@ def allowed_feedback_positions(n: int, terminal: int, k: int) -> tuple[int, ...]
     Descending from the top bit in steps of k; the top bit itself is
     always available.
     """
+    count = _position_count(n, terminal, k)
+    return tuple(n - 1 - i * k for i in range(count))
+
+
+def _position_count(n: int, terminal: int, k: int) -> int:
     if k < 1:
         raise ValueError("parallel degree must be at least 1")
     if not 0 <= terminal <= n - 1:
         raise ValueError(f"terminal bit {terminal} outside register of length {n}")
-    count = max(1, (n - 1 - terminal) // k)
-    return tuple(n - 1 - i * k for i in range(count))
+    return max(1, (n - 1 - terminal) // k)
 
 
 def max_hw_parallel_degree(system: SystemSpec) -> int:
@@ -398,20 +402,25 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     movable.sort(key=lambda t: (-_default_term_cost(t), term_sort_key(t)))
 
     while True:
-        positions = allowed_feedback_positions(n, terminal, k)
-        load = {p: 0.0 for p in positions}
-        load[top] += fixed
+        count = _position_count(n, terminal, k)
+        # Position top - i*k by step i; only steps that hold a cost get an entry.
+        load = {0: fixed} if fixed else {}
         dests: dict[Term, int] = {}
         for term in movable:
             own = [v.idx for v in term.vars]
             lo, hi = min(own), max(own)
-            feasible = [p for p in positions if (top - p) <= lo and hi - (top - p) <= terminal]
-            if not feasible:
+            first = max(0, -((terminal - hi) // k))  # ceil((hi - terminal) / k)
+            last = min(count - 1, lo // k)
+            if first > last:
                 terminal = hi  # above the old terminal, since the top bit did not fit
                 break
-            best = min(feasible, key=lambda p: (load[p], -p))
-            load[best] += _default_term_cost(term)
-            dests[term] = best
+            # every term costs at least 1, so an empty step beats a loaded
+            # one; the highest empty step is at most len(load) past first
+            best = next((i for i in range(first, last + 1) if i not in load), None)
+            if best is None:
+                best = min(range(first, last + 1), key=lambda i: (load[i], i))
+            load[best] = load.get(best, 0.0) + _default_term_cost(term)
+            dests[term] = top - best * k
         else:
             break
 

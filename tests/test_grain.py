@@ -14,6 +14,7 @@ from grainkit import (
     variant,
 )
 from grainkit.anf import Var, parse_term
+from grainkit.engine import run
 from conftest import GALOIS_VARIANTS, rand_bits
 
 from grain_reference import grain80_keystream, grain128_keystream
@@ -119,6 +120,20 @@ def test_equivalence_mode_reproduces_fibonacci(name, rng):
     key, iv = rand_bits(rng, v.key_bits), rand_bits(rng, v.iv_bits)
     kiv = KeyIv(key, iv)
     assert keystream(v, kiv, 192, mode="equivalence") == keystream(fib, kiv, 192)
+
+
+@pytest.mark.parametrize("mode", ["equivalence", "native"])
+def test_initialize_clocks_only_the_variants_own_system(monkeypatch, mode):
+    calls = []
+
+    def spy(system, state, cycles, **kwargs):
+        calls.append((system, cycles, kwargs))
+        return run(system, state, cycles, **kwargs)
+
+    monkeypatch.setattr("grainkit.grain.run", spy)
+    v = variant("grain80-galois-4")
+    initialize(v, load(v, zero_keyiv(v)), mode)
+    assert calls == [(v.system, v.init_cycles, {"modes": {"init"}})]
 
 
 def test_native_mode_is_deterministic_but_diverges(rng):

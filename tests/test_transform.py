@@ -340,6 +340,37 @@ def test_auto_distribute_rejects_too_low_terminal():
         auto_distribute(fib, terminal=40, k=1)
 
 
+def test_auto_distribute_weighs_foreign_terms_and_breaks_ties_upward():
+    # q[0] stays on the top bit and weighs it, so r[2] goes one bit down
+    spec = RegisterSpec("r", 8, {7: parse_expr("r[0] + q[0] + r[2]")})
+    assert auto_distribute(spec, 3, 1).script == (
+        ShiftMove("r", 7, 6, frozenset({parse_term("r[2]")})),
+    )
+    # r[3] takes the top bit and r[4] bit 6; r[5] finds both loaded alike
+    # and goes to the higher one
+    spec = RegisterSpec("r", 8, {7: parse_expr("r[0] + r[3] + r[4] + r[5]")})
+    assert auto_distribute(spec, 5, 1).script == (
+        ShiftMove("r", 7, 6, frozenset({parse_term("r[4]")})),
+    )
+
+
+def test_auto_distribute_memory_does_not_grow_with_register_length():
+    n = 10**6
+    spec = RegisterSpec("r", n, {n - 1: parse_expr("r[0] + r[5]*r[7] + r[3]")})
+    terminal = min_terminal_bit(spec.expr(n - 1), "r")
+    tracemalloc.start()
+    try:
+        dist = auto_distribute(spec, terminal, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert [(m.dest, m.terms) for m in dist.script] == [
+        (n - 2, {parse_term("r[3]")}),
+        (n - 6, {parse_term("r[5]*r[7]")}),
+    ]
+
+
 # ------------------------------------------------------------------- collapse
 
 
