@@ -168,9 +168,9 @@ def remap_indices(
     indices, so term-set cardinality is preserved.
     """
     out = []
-    for term in terms:
+    for term in sorted(terms, key=term_sort_key):
         moved = []
-        for v in term.vars:
+        for v in term.sorted_vars():
             if v.reg != register:
                 raise ForeignVariableError(
                     f"term {term} mentions register {v.reg!r}; "

@@ -111,11 +111,9 @@ class RegisterSpec:
                     f"feedback index {bit} outside register {self.id!r} "
                     f"of length {self.length}"
                 )
-            for v in expr.support():
-                if v.reg == self.id and not 0 <= v.idx < self.length:
-                    raise ValueError(
-                        f"variable {v} out of range for register {self.id!r}"
-                    )
+            bad = [v for v in expr.support() if v.reg == self.id and not 0 <= v.idx < self.length]
+            if bad:
+                raise ValueError(f"variable {min(bad)} out of range for register {self.id!r}")
             if expr != shift_expr(self.id, bit, self.length):
                 norm[bit] = expr
         object.__setattr__(self, "feedback", norm)
@@ -214,7 +212,7 @@ class SystemSpec:
                 raise ValueError("injection mode tag must be non-empty")
 
     def _check_vars(self, expr: Anf, where: str) -> None:
-        for v in expr.support():
+        for v in sorted(expr.support()):
             reg = self._by_id.get(v.reg)
             if reg is None:
                 raise ValueError(f"{where} references undeclared register {v.reg!r}")

@@ -16,12 +16,14 @@ refinement for small registers, seeded-random mapped simulation at scale).
 
 Every correspondence between the forms starts from one split,
 ``RegisterSpec.tail``: ``f_j = x[j+1] ^ g_j`` (Dubrova 2009).  Uniformity
-reads the shift variable in g_j.  One walk up each register from its
-terminal bit t lifts the tails: phi_{t+1} = g_t and phi_{i+1} = phi_i
-read one cycle on XOR g_i.  Bit i of the state mapping absorbs phi_i, and
-the collapse is the top bit's shift term XOR phi_n, one bit past the top.
-``map_system_state``, the one state-mapping routine, and the mapped check
-share one preparation of the pair, walk included, over the whole layout.
+reads the shift variable in g_j.  Bit i above a register's terminal bit t
+absorbs phi_i, the XOR over t <= j < i of g_j read i - 1 - j cycles on,
+and the collapse is the top bit's shift term XOR phi_n, one bit past the
+top.  Each is read in closed form from one plan of the tails: the
+collapse lifts each tail once, and ``map_system_state``, the one
+state-mapping routine, maps a packed word in the engine's lane form,
+x = w ^ XOR_j G_j << (j + 1).  It and the mapped check share one
+preparation of the pair, plans included, over the whole layout.
 
 The exact checker reads every state's output prefix of up to 64 bits
 from one bitsliced walk over all states, and uses those raw prefixes as
@@ -47,7 +49,6 @@ from .anf import (
     ExprError,
     ForeignVariableError,
     Term,
-    Var,
     parse_term,
     remap_indices,
     term_sort_key,
@@ -435,54 +436,50 @@ def auto_distribute(spec: RegisterSpec, terminal: int, k: int) -> Distribution:
     return Distribution(final, script)
 
 
-def _phi(spec: RegisterSpec) -> list[tuple[int, set[frozenset[int]]]]:
-    """The lift of every tail towards the top, in one walk up from the terminal bit t.
+def _tail_plan(spec: RegisterSpec) -> list[tuple[int, int, list[frozenset[int]]]]:
+    """Every tail below the top as ``(j, constant, products)``, each product its own index set.
 
-    phi_{t+1} = g_t and phi_{i+1} = phi_i read one cycle on (every own
-    index + 1, mod n as ``apply_shift`` takes it) XOR g_i: phi_i is what
-    bit i of the Galois register has mixed in that the Fibonacci one has
-    not.  Returns phi_{t+1} .. phi_{n-1}, the state mapping's fixups, each
-    as its constant and its products' own-index sets; ``_collapse`` takes
-    the last one past the top.  Every tail below the top must be singular
-    and read only this register.
+    Bit i above the terminal bit t of the Galois register has mixed in
+    phi_i, the XOR over the explicit bits t <= j < i of g_j read i - 1 - j
+    cycles on (every own index + i - 1 - j).  Lifting is a bijection on
+    index sets, so XOR commutes with it and each tail is read in closed
+    form: ``_collapse`` lifts it once, past the top, and the state
+    mappings evaluate it at every lag.  Every tail below the top must be
+    singular and read only this register; the lowest bit that is not
+    raises, and names its lowest foreign variable.
     """
-    n = spec.length
-    top = n - 1
-    phi: set[frozenset[int]] = set()
-    const, phis = 0, []
-    for bit in range(terminal_bit(spec), top):
-        phi = {frozenset((i + 1) % n for i in p) for p in phi}
-        if bit in spec.feedback:  # the tail of a pure shift is 0
-            g = feedback_tail(spec, bit)
-            for v in g.support():
-                if v.reg != spec.id:
-                    raise ForeignVariableError(
-                        f"bit {bit} mixes in {v}; only the top bit may use other registers"
-                    )
-            phi ^= {frozenset(v.idx for v in term.vars) for term in g.terms}
-            const ^= g.const
-        phis.append((const, phi))
-    return phis
+    plan = []
+    for bit in sorted(b for b in spec.feedback if b < spec.length - 1):
+        g = feedback_tail(spec, bit)
+        foreign = [v for v in g.support() if v.reg != spec.id]
+        if foreign:
+            raise ForeignVariableError(
+                f"bit {bit} mixes in {min(foreign)}; only the top bit may use other registers"
+            )
+        plan.append((bit, g.const, [frozenset(v.idx for v in term.vars) for term in g.terms]))
+    return plan
 
 
-def _collapse(spec: RegisterSpec, phis: list[tuple[int, set[frozenset[int]]]]) -> RegisterSpec:
-    """The register with its top bit's shift term XOR phi_n, from ``_phi``'s walk."""
+def _collapse(spec: RegisterSpec, plan: list) -> RegisterSpec:
+    """The top bit's shift term XOR each tail j of ``plan`` lifted by n - 1 - j, mod n."""
     n = spec.length
-    const, phi = phis[-1] if phis else (0, set())
     g = spec.tail(n - 1)
-    lifted = {Term(frozenset(Var(spec.id, (i + 1) % n) for i in p)) for p in phi}
-    collapse = Anf(frozenset(lifted ^ g.terms ^ {Term.of(spec.id, 0)}), const ^ g.const)
-    return RegisterSpec(spec.id, n, {n - 1: collapse})
+    terms, const = set(g.terms) ^ {Term.of(spec.id, 0)}, g.const
+    for j, c, products in plan:
+        terms ^= {Term.of(spec.id, *((i + n - 1 - j) % n for i in p)) for p in products}
+        const ^= c
+    return RegisterSpec(spec.id, n, {n - 1: Anf(frozenset(terms), const)})
 
 
 def collapse_to_fibonacci(spec: RegisterSpec) -> RegisterSpec:
     """Undo all shifting: fold every lower bit's logic back into the top bit.
 
-    The top bit becomes its shift term XOR phi_n (see ``_phi``).  A term
-    lifted from an even number of bits cancels, which is exactly what
-    exposes an over-shifted configuration.
+    The top bit becomes its shift term XOR every lower tail lifted past
+    the top (see ``_tail_plan``).  A term lifted from an even number of
+    bits cancels, which is exactly what exposes an over-shifted
+    configuration.
     """
-    return _collapse(spec, _phi(spec))
+    return _collapse(spec, _tail_plan(spec))
 
 
 def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
@@ -503,7 +500,7 @@ def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
 def _state_mapper(
     fib: SystemSpec, galois: SystemSpec
 ) -> tuple[Callable[..., list[int]], dict[str, list]]:
-    """The one preparation of a (Fibonacci, Galois) pair: state formula and walks.
+    """The one preparation of a (Fibonacci, Galois) pair: slice mapping and tail plans.
 
     Both systems must declare the same registers in the same order, and
     the same outputs and injections; every injection must land on its
@@ -511,16 +508,16 @@ def _state_mapper(
     register, may tap a bit above a register's terminal bit, where
     sequences are not preserved; and every Galois register, in system
     order, must be uniform and keep other registers out of every bit below
-    the top.  The first rule broken raises.
+    the top.  The first rule broken raises, naming its lowest variable.
 
-    The formula maps any number of states of the whole layout, one entry
-    per bit in system register order: in each register, bit i > terminal
-    absorbs phi_i (see ``_phi``), each product a set of the register's
-    own indices, so mapping a state evaluates no expression.  Given an
-    all-ones mask ``ones``, it maps many states at once: one word per bit,
-    one state per bit of ``ones``, and a constant sets every state's bit.
-    The walks, ``_phi`` by register id, also give the collapses
-    (``_collapse``); only ``map_system_state`` builds them.
+    The plans, ``_tail_plan`` by register id, are the state mapping in
+    closed form: bit i > terminal absorbs each tail g_j, j < i, read
+    i - 1 - j cycles on.  ``map_system_state`` reads them on packed
+    words (``_map_word``) and builds the collapses from them
+    (``_collapse``).  The returned formula reads them on planes: it maps
+    any number of states of the whole layout, one word per bit in system
+    register order and one state per bit of the all-ones mask ``ones``,
+    one lag of each tail at a time; a constant sets every state's bit.
     """
     signature = tuple((r.id, r.length) for r in fib.registers)
     if tuple((r.id, r.length) for r in galois.registers) != signature:
@@ -542,40 +539,58 @@ def _state_mapper(
     taps = [(out.expr, None, out.name) for out in galois.outputs]
     taps += [(expr, reg.id, reg.id) for reg in galois.registers for expr in reg.feedback.values()]
     for expr, own, name in taps:
-        for v in expr.support():
-            if v.reg != own and v.idx > terminals[v.reg]:
-                where = "output" if own is None else "feedback of"
-                raise ValueError(
-                    f"{where} {name!r} taps {v} above that register's "
-                    f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
-                )
-    fixups: list[tuple[int, int, int, set[frozenset[int]]]] = []
-    walks: dict[str, list] = {}
-    offset = 0
+        above = [v for v in expr.support() if v.reg != own and v.idx > terminals[v.reg]]
+        if above:
+            v, where = min(above), "output" if own is None else "feedback of"
+            raise ValueError(
+                f"{where} {name!r} taps {v} above that register's "
+                f"terminal bit {terminals[v.reg]}; sequences there are not preserved"
+            )
+    plans: dict[str, list] = {}
     for reg in galois.registers:
         report = check_uniform(reg)
         if not report.uniform:
             v = report.violations[0]
             raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
-        phis = walks[reg.id] = _phi(reg)
-        start = terminals[reg.id] + 1
-        fixups += [(offset, i, const, phi) for i, (const, phi) in enumerate(phis, start)]
-        offset += reg.length
+        plans[reg.id] = _tail_plan(reg)
 
     def mapped(state: Sequence[int], ones: int = 1) -> list[int]:
-        bits = [int(b) & ones for b in state]
-        out = list(bits)
-        for offset, i, const, products in fixups:
-            acc = ones if const else 0
-            for product in products:
-                value = ones
-                for idx in product:
-                    value &= bits[offset + idx]
-                acc ^= value
-            out[offset + i] ^= acc
+        planes = [int(b) & ones for b in state]
+        out, offset = list(planes), 0
+        for rid, n in signature:
+            for j, const, products in plans[rid]:
+                for c in range(n - 1 - j):  # bit j + 1 + c reads g_j c cycles on
+                    acc = ones if const else 0
+                    for product in products:
+                        value = ones
+                        for idx in product:
+                            value &= planes[offset + idx + c]
+                        acc ^= value
+                    out[offset + j + 1 + c] ^= acc
+            offset += n
         return out
 
-    return mapped, walks
+    return mapped, plans
+
+
+def _map_word(word: int, n: int, plan: list) -> int:
+    """One register's packed state, bit i in bit i, mapped by its ``_tail_plan``.
+
+    The engine's lane form, x = w ^ XOR_j G_j << (j + 1): a product's
+    lanes are the AND of ``word >> idx``, lane m reading g_j m cycles on,
+    and its n - 1 - j lanes land on bits j + 1 .. n - 1.
+    """
+    mapped = word
+    for j, const, products in plan:
+        lanes = (1 << (n - 1 - j)) - 1
+        acc = lanes if const else 0
+        for product in products:
+            value = lanes
+            for idx in product:
+                value &= word >> idx
+            acc ^= value
+        mapped ^= acc << (j + 1)
+    return mapped
 
 
 def map_system_state(
@@ -592,18 +607,14 @@ def map_system_state(
     """
     if state.signature() != tuple((r.id, r.length) for r in fib_system.registers):
         raise ValueError("state does not conform to the source system")
-    mapper, walks = _state_mapper(fib_system, galois_system)
+    plans = _state_mapper(fib_system, galois_system)[1]
     for reg in fib_system.registers:
-        if _collapse(galois_system.register(reg.id), walks[reg.id]) != reg:
+        if _collapse(galois_system.register(reg.id), plans[reg.id]) != reg:
             raise ValueError(
                 f"target register {reg.id!r} does not collapse to the source register"
             )
-    bits = mapper([(w >> i) & 1 for _, n, w in state.regs for i in range(n)])
-    words, offset = [], 0
-    for rid, n, _ in state.regs:
-        words.append((rid, n, sum(b << i for i, b in enumerate(bits[offset:offset + n]))))
-        offset += n
-    return SystemState(tuple(words), state.cycle)
+    words = tuple((rid, n, _map_word(w, n, plans[rid])) for rid, n, w in state.regs)
+    return SystemState(words, state.cycle)
 
 
 def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
@@ -619,13 +630,11 @@ def _planes(spec: RegisterSpec, cycles: int) -> tuple[list[int], list[int]]:
     sequence up to its length, so states with equal prefixes are exactly
     the classes refinement would reach at that length.
     """
-    for bit in spec.explicit_bits():
-        for term in spec.feedback[bit].sorted_terms():
-            for v in term.vars:
-                if v.reg != spec.id:
-                    raise ForeignVariableError(
-                        f"register {spec.id!r} is not autonomous: feedback uses {v}"
-                    )
+    foreign = [v for expr in spec.feedback.values() for v in expr.support() if v.reg != spec.id]
+    if foreign:
+        raise ForeignVariableError(
+            f"register {spec.id!r} is not autonomous: feedback uses {min(foreign)}"
+        )
     n = spec.length
     ones = (1 << (1 << n)) - 1
     words = [_identity_plane(n, i) & ones for i in range(n)]

@@ -632,30 +632,31 @@ def test_pair_rule_covers_outputs_and_injections(rng):
 def test_pair_rule_accepts_every_bundled_variant(name, flavour):
     v = variant(name, flavour)
     fib = v.fib_variant().system
-    walks = transform._state_mapper(fib, v.system)[1]
+    plans = transform._state_mapper(fib, v.system)[1]
     collapsed = {
-        reg.id: transform._collapse(reg, walks[reg.id]) == fib.register(reg.id)
+        reg.id: transform._collapse(reg, plans[reg.id]) == fib.register(reg.id)
         for reg in v.system.registers
     }
     # as printed, grain128-galois-1 carries b[3]*b[67] twice and does not collapse
     assert all(collapsed.values()) == ((name, flavour) != ("grain128-galois-1", "as-printed"))
 
 
-def test_map_system_state_walks_each_register_once(monkeypatch):
-    walked = []
-    real = transform._phi
-    monkeypatch.setattr(transform, "_phi", lambda spec: walked.append(spec.id) or real(spec))
+def test_map_system_state_plans_each_register_once_per_call(monkeypatch):
+    planned = []
+    real = transform._tail_plan
+    monkeypatch.setattr(transform, "_tail_plan", lambda spec: planned.append(spec.id) or real(spec))
     v = variant("grain128-galois-4")
     fib = v.fib_variant()
-    map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
-    assert sorted(walked) == ["b", "s"]
+    for calls in (1, 2):
+        map_system_state(fib.system, v.system, SystemState.zeros(fib.system))
+        assert sorted(planned) == ["b"] * calls + ["s"] * calls  # nothing is kept between calls
 
 
 def test_only_map_system_state_builds_collapses(monkeypatch):
     built = []
     real = transform._collapse
     monkeypatch.setattr(
-        transform, "_collapse", lambda spec, phis: built.append(spec.id) or real(spec, phis)
+        transform, "_collapse", lambda spec, plan: built.append(spec.id) or real(spec, plan)
     )
     v = variant("grain80-galois-4")
     fib = v.fib_variant().system
