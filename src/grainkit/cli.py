@@ -77,6 +77,7 @@ def _emit(pairs, kv: bool) -> None:
 
 
 KEYSTREAM_MAX_BITS = 1 << 24
+MAPPED_TRIALS, MAPPED_CYCLES = 20, 500  # verify equivalence --variant defaults
 
 
 def _cmd_keystream(args) -> int:
@@ -96,13 +97,17 @@ def _cmd_list_variants(args) -> int:
     rows = []
     for name in grain.VARIANT_NAMES:
         v = grain.variant(name)
-        rows.append(
-            (
-                name,
-                f"key={v.key_bits} iv={v.iv_bits} init_cycles={v.init_cycles} "
-                f"k={v.parallel_degree} terminal_b={v.terminals['b']}",
-            )
+        fields = (
+            ("key", v.key_bits),
+            ("iv", v.iv_bits),
+            ("init_cycles", v.init_cycles),
+            ("k", v.parallel_degree),
+            ("terminal_b", v.terminals["b"]),
         )
+        if args.kv:
+            rows += [(f"{name}.{key}", value) for key, value in fields]
+        else:
+            rows.append((name, " ".join(f"{key}={value}" for key, value in fields)))
     _emit(rows, args.kv)
     return OK
 
@@ -186,7 +191,17 @@ def _cmd_verify_collapse(args) -> int:
     return status
 
 
+# Flags of each mode of ``verify equivalence``, refused in the other mode.
+_EXHAUSTIVE_FLAGS = ("horizon", "a", "b")
+_MAPPED_FLAGS = ("variant", "trials", "cycles", "seed")
+
+
 def _cmd_verify_equivalence(args) -> int:
+    foreign = _MAPPED_FLAGS if args.exhaustive else _EXHAUSTIVE_FLAGS
+    for flag in foreign:
+        if getattr(args, flag) is not None:
+            without = "with" if args.exhaustive else "without"
+            raise _CliError(f"--{flag} does not apply {without} --exhaustive")
     if args.exhaustive:
         if not (args.a and args.b):
             raise _CliError("--exhaustive needs --a and --b spec files")
@@ -212,9 +227,9 @@ def _cmd_verify_equivalence(args) -> int:
         raise _CliError("mapped equivalence checking requires --seed")
     v = _load_variant(args)
     fib = v.fib_variant()
-    verdict = transform.check_equivalence_mapped(
-        fib.system, v.system, args.trials, args.cycles, args.seed
-    )
+    trials = MAPPED_TRIALS if args.trials is None else args.trials
+    cycles = MAPPED_CYCLES if args.cycles is None else args.cycles
+    verdict = transform.check_equivalence_mapped(fib.system, v.system, trials, cycles, args.seed)
     if verdict.equal:
         print(
             f"equal: {verdict.trials} trials x {verdict.cycles} cycles "
@@ -380,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--exhaustive", action="store_true")
     q.add_argument("--horizon", type=int)
     q.add_argument("--variant", help="check a bundled variant against its sibling")
-    q.add_argument("--trials", type=int, default=20)
-    q.add_argument("--cycles", type=int, default=500)
+    q.add_argument("--trials", type=int, help=f"random trials (default: {MAPPED_TRIALS})")
+    q.add_argument("--cycles", type=int, help=f"cycles per trial (default: {MAPPED_CYCLES})")
     q.add_argument("--seed", type=int)
     add_repair(q)
     q.set_defaults(func=_cmd_verify_equivalence)

@@ -42,13 +42,16 @@ evaluates every watched output over those ints, which ``run_ints``
 returns and ``run`` expands into bits.  Only injected outputs, which the
 windows read, are computed inside the steps.
 
-The sliced layout (``_CompiledSystem.sliced``) runs many instances of
-one system at once, bitsliced: one word per register bit, one instance
-per bit of each word.  It is generated from the same shift-plus-tail
-form and expression emitter, k unrolled cycles per call.  It serves the
-mapped equivalence check, which steps all of its trials together, and
-the exhaustive check's prefix walk, which steps every state of a
-register at once.
+Two layouts run many instances of one system at once.  The lane kernel
+takes a lane width T: each lane is T bits, one per instance, every shift
+is scaled by T and every mask covers k T bits, so one operator steps k
+cycles of T instances.  At T = 1 its source is the single-instance one.
+The sliced layout (``_CompiledSystem.sliced``) is bitsliced: one word per
+register bit, one instance per bit of each word.  It is generated from
+the same shift-plus-tail form and expression emitter, k unrolled cycles
+per call.  The mapped equivalence check steps a slice of few trials on
+lanes and a wide one sliced; the exhaustive check's prefix walk steps
+every state of a register at once, sliced.
 
 That k is a property of the software, not of the hardware.
 ``transform.max_hw_parallel_degree`` asks for k - 1 bits of headroom above
@@ -330,7 +333,7 @@ def _var(node) -> str:
 
 
 class _CompiledSystem:
-    """A system compiled once; lane kernels are generated per (modes, k, record),
+    """A system compiled once; lane kernels are generated per (modes, k, record, T),
     watch plans per (modes, watch) and sliced kernels per (modes, k)."""
 
     __slots__ = (
@@ -421,19 +424,24 @@ class _CompiledSystem:
         self._degrees[modes] = lo
         return lo
 
-    def kernel(self, modes: frozenset, k: int, record: tuple = ()):
+    def kernel(self, modes: frozenset, k: int, record: tuple = (), T: int = 1):
         """``lanes(words, steps, sinks) -> words``: ``steps`` k-cycle steps.
 
         Each step appends the k-lane word of every tap in ``record``
         (``(register index, bit)`` pairs) to the matching list in ``sinks``.
+        Each lane is ``T`` bits wide, one per instance: register bit i of
+        instance t sits at bit ``i * T + t`` of its register's word, and
+        lane m of a recorded word at bits ``m * T`` up.  Every shift is a
+        multiple of T and AND and XOR work bit by bit, so instances never
+        mix, and a k is legal at every T when it is legal at 1.
         """
-        key = (modes, k, record)
+        key = (modes, k, record, T)
         fn = self._kernels.get(key)
         if fn is None:
-            fn = self._kernels[key] = self._compile(modes, k, record)
+            fn = self._kernels[key] = self._compile(modes, k, record, T)
         return fn
 
-    def _compile(self, modes: frozenset, k: int, record: tuple):
+    def _compile(self, modes: frozenset, k: int, record: tuple, T: int = 1):
         if not 1 <= k <= min(n for _, n in self.signature):
             raise ValueError(f"no lane kernel at k={k}")
         wins = self._windows(modes)
@@ -443,8 +451,10 @@ class _CompiledSystem:
             order = tuple(TopologicalSorter(graph).static_order())
         except CycleError:
             raise ValueError(f"no lane kernel at k={k}: lanes depend on each other") from None
-        lanes = (1 << k) - 1
-        # cut to k bits: taps read linearly or recorded, and products of
+        # the all-ones word of k lanes; wider than T = 1 it is bound once,
+        # as CPython refuses to write an int of over 4300 digits in decimal
+        lanes = str((1 << k) - 1) if T == 1 else "m"
+        # cut to k lanes: taps read linearly or recorded, and products of
         # uncut taps (see the module docstring)
         linear = [
             t
@@ -459,7 +469,7 @@ class _CompiledSystem:
             nodes = [("t", self.index[v.reg], v.idx) for v in vs]
             names = [_var(t) for t in nodes]
             if len(nodes) > 1 and masked.isdisjoint(nodes):
-                names.append(str(lanes))
+                names.append(lanes)
             return " & ".join(names)
 
         def out(i: int) -> str:
@@ -469,29 +479,30 @@ class _CompiledSystem:
         for node in order:
             kind, r, j = node
             if kind == "t":
-                read = self._tap(r, j, k, added)
+                read = self._tap(r, j, k, added, T)
                 parts = [f"({read}) & {lanes}" if node in masked else read]
             else:
-                parts = self._parts(node, wins, term, out, str(lanes))
+                parts = self._parts(node, wins, term, out, lanes)
             body.append(f"{_var(node)} = {_xor(parts)}")
             if kind == "g":
                 # the register word takes each window once, as it is computed
-                body.append(f"w{r} ^= {_var(node)} << {j + 1}")
+                body.append(f"w{r} ^= {_var(node)} << {(j + 1) * T}")
                 added.add((r, j))
         for r, (_, n) in enumerate(self.signature):
-            body.append(f"w{r} = w{r} >> {k} ^ (w{r} & {lanes}) << {n - k}")
+            body.append(f"w{r} = w{r} >> {k * T} ^ (w{r} & {lanes}) << {(n - k) * T}")
         body += [f"a{i}({_var(t)})" for i, t in enumerate(targets)]
         words = "".join(f"w{r}, " for r in range(len(self.signature)))
         src = "\n".join(
             ["def lanes(words, steps, sinks):", f"    {words}= words"]
+            + [f"    m = {(1 << k * T) - 1:#x}"] * (T > 1)
             + [f"    a{i} = sinks[{i}].append" for i in range(len(targets))]
             + ["    for _ in range(steps):"]
             + [f"        {line}" for line in body]
             + [f"    return [{words}]"]
         )
-        return _exec(src, "lanes", f"<lanes k={k}>")
+        return _exec(src, "lanes", f"<lanes k={k}>" if T == 1 else f"<lanes k={k} T={T}>")
 
-    def _tap(self, r: int, v: int, k: int, added: set) -> str:
+    def _tap(self, r: int, v: int, k: int, added: set, T: int) -> str:
         """Lane word of tap v of register r, read from the register word.
 
         The word holds the windows in ``added``, window j shifted by j + 1.
@@ -499,18 +510,22 @@ class _CompiledSystem:
         it), window j lands ``j + 1 - v`` lanes up (and ``n`` more through
         the fold), but the tap needs it ``(j - v) mod n + 1`` lanes up.
         Every shift in one set and not in the other, below k in size,
-        XORs the window in once more.  Lanes k and up hold other bits.
+        XORs the window in once more.  Each such shift is zero or down: the
+        read at v puts a window j >= v where the tap needs it, and a
+        window j < v is needed n + j + 1 - v lanes up, which only the fold
+        reaches below k.  Lanes k and up hold other bits.  A lane is T
+        bits wide, so every shift is scaled by T.
         """
         n, w = self.signature[r][1], f"w{r}"
         fold = n - v < k
-        parts = [f"{w} >> {v}" if v else w] + [f"{w} << {n - v}"] * fold
+        parts = [f"{w} >> {v * T}" if v else w] + [f"{w} << {(n - v) * T}"] * fold
         for q, j in sorted(added):
             if q != r:
                 continue
             g, got = _var(("g", r, j)), {j + 1 - v, j + 1 - v + n} if fold else {j + 1 - v}
             for s in sorted(got ^ {(j - v) % n + 1}):
                 if -k < s < k:
-                    parts.append(f"{g} << {s}" if s > 0 else f"{g} >> {-s}" if s else g)
+                    parts.append(f"{g} >> {-s * T}" if s else g)
         return _xor(parts)
 
     def plan(self, modes: frozenset, watch: tuple):

@@ -54,7 +54,7 @@ from .anf import (
     term_sort_key,
     xor_merge,
 )
-from .engine import RegisterSpec, SystemSpec, SystemState
+from .engine import RegisterSpec, SystemSpec, SystemState, _join
 from .timing import product_depth
 
 __all__ = [
@@ -86,6 +86,9 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT_BITS = 20
 _SLICE_TRIALS = 1024  # trials the mapped check steps at once, one per bit of a word
+# A slice of T trials in blocks of k cycles steps on the lane kernel when
+# T <= _LANE_TRIALS * (k - 1), and bitsliced otherwise (measured; see README).
+_LANE_TRIALS = 10
 
 
 class MissingTermError(ValueError):
@@ -930,17 +933,24 @@ def check_equivalence_mapped(
     Trial t's state is the t-th ``getrandbits(width)`` of
     ``random.Random(seed)``, with bit p of the layout (registers in system
     order, then bits) in bit p, so any reported trial can be rebuilt from
-    the seed alone.  Trials run bitsliced, up to ``_SLICE_TRIALS`` at once
-    and in order: one word per layout bit, trial t in bit t of every word,
-    and one call of the system's mapping formula maps a whole slice.
+    the seed alone.  Trials run in slices of up to ``_SLICE_TRIALS``, in
+    order: the draw gives one word per layout bit, trial t in bit t of
+    every word, and one call of the system's mapping formula maps a whole
+    slice.
 
     One loop steps both systems k cycles per call and compares them at
     block ends (see ``_mapped_degree``), the last partial block in one
-    shorter call, until the instance in bit 0 diverges or the cycles run out;
-    no later slice runs once one has diverged.  The lowest divergent trial
-    is then replayed through the same loop from its slice-start words,
-    alone and one cycle at a time, to find its first divergent cycle,
-    register and bit.
+    shorter call, until trial 0 of the slice diverges or the cycles run
+    out; no later slice runs once one has diverged.  A slice of T trials
+    steps in one of two layouts, lanes when T <= ``_LANE_TRIALS`` * (k - 1)
+    and bitsliced otherwise.  On lanes, each register's words join at
+    stride T into one word, bit i of trial t at bit i * T + t, which the
+    lane kernel steps with T-bit lanes; bits 0..terminal of every trial
+    are compared at once and a difference folds onto its trials.
+    Bitsliced, the words step as drawn on the sliced kernel.  The lowest
+    divergent trial is then replayed through the same loop from its
+    slice-start words, alone, bitsliced and one cycle at a time, to find
+    its first divergent cycle, register and bit.
 
     The pair is prepared by ``_state_mapper``, so this check and
     ``map_system_state`` refuse the same pairs with the same messages.
@@ -969,33 +979,61 @@ def check_equivalence_mapped(
 
     # Both systems declare the same registers in the same order, so they
     # share one layout: each register's bits in turn, in system order.
-    compared, width = [], 0
+    spans, width = [], 0  # (first bit, length, compared bits) of each register
     for reg in galois_system.registers:
-        compared.append((width, width + terminals[reg.id] + 1))
+        spans.append((width, reg.length, terminals[reg.id] + 1))
         width += reg.length
-
-    def diverged(fib_words, gal_words) -> int:
-        # Equal slices, the usual case, are settled by one list compare.
-        bad = 0
-        for a, b in compared:
-            if fib_words[a:b] != gal_words[a:b]:
-                for p in range(a, b):
-                    bad |= fib_words[p] ^ gal_words[p]
-        return bad
-
+    compared = [(a, a + t) for a, _, t in spans]
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
     no_modes = frozenset()
 
-    def run(fib_words, gal_words, ones, k):
+    def sliced(ones):
+        """(step, differ) of the bitsliced layout: one word per layout bit."""
+
+        def step(comp, words, s):
+            return comp.sliced(no_modes, s)(words, ones)
+
+        def differ(fib_words, gal_words) -> int:
+            # Equal slices, the usual case, are settled by one list compare.
+            bad = 0
+            for a, b in compared:
+                if fib_words[a:b] != gal_words[a:b]:
+                    for p in range(a, b):
+                        bad |= fib_words[p] ^ gal_words[p]
+            return bad
+
+        return step, differ
+
+    def lanes(count):
+        """(step, differ) of the lane layout: one word per register, count bits per lane."""
+        ones = (1 << count) - 1
+        lows = [(1 << t * count) - 1 for _, _, t in spans]
+
+        def step(comp, words, s):
+            return comp.kernel(no_modes, s, (), count)(words, 1, ())
+
+        def differ(fib_words, gal_words) -> int:
+            bad = 0
+            for f, g, low in zip(fib_words, gal_words, lows):
+                diff = (f ^ g) & low
+                while diff:  # fold every compared bit's trials onto bits 0..count-1
+                    bad |= diff & ones
+                    diff >>= count
+            return bad
+
+        return step, differ
+
+    def run(fib_words, gal_words, layout, k):
         # A trial that agrees at cycle c agrees at c+1..c+s, s <= k, iff it
         # agrees at c+s, so ``bad`` holds exactly the trials diverged by ``cycle``.
-        bad, cycle = diverged(fib_words, gal_words), 0
+        step, differ = layout
+        bad, cycle = differ(fib_words, gal_words), 0
         while not bad & 1 and cycle < cycles - 1:
-            step = min(k, cycles - 1 - cycle)
-            fib_words = fib_comp.sliced(no_modes, step)(fib_words, ones)
-            gal_words = gal_comp.sliced(no_modes, step)(gal_words, ones)
-            bad |= diverged(fib_words, gal_words)
-            cycle += step
+            s = min(k, cycles - 1 - cycle)
+            fib_words = step(fib_comp, fib_words, s)
+            gal_words = step(gal_comp, gal_words, s)
+            bad |= differ(fib_words, gal_words)
+            cycle += s
         return bad, cycle, fib_words, gal_words
 
     rng = random.Random(seed)
@@ -1011,7 +1049,12 @@ def check_equivalence_mapped(
         drawn = "".join([format(rng.getrandbits(width), f"0{width}b") for _ in range(count)])[::-1]
         fib_start = [int(drawn[p::width], 2) for p in range(width)]
         gal_start = mapper(fib_start, ones)
-        bad = run(fib_start, gal_start, ones, k)[0]
+        starts, layout = (fib_start, gal_start), sliced(ones)
+        if count <= _LANE_TRIALS * (k - 1):
+            # each register's planes join at stride count: bit i of trial t at i * count + t
+            starts = ([_join(planes[a : a + n], count) for a, n, _ in spans] for planes in starts)
+            layout = lanes(count)
+        bad = run(*starts, layout, k)[0]
         if bad:
             break
     else:
@@ -1019,7 +1062,7 @@ def check_equivalence_mapped(
 
     lowest = (bad & -bad).bit_length() - 1
     alone = ([w >> lowest & 1 for w in words] for words in (fib_start, gal_start))
-    _, cycle, fib_words, gal_words = run(*alone, 1, 1)
+    _, cycle, fib_words, gal_words = run(*alone, sliced(1), 1)
     # the first differing plane in layout order: lowest register, then bit
     for rid, (a, b) in zip(terminals, compared):
         for p in range(a, b):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import warnings
@@ -135,6 +136,40 @@ def test_list_variants(capsys):
     assert "grain128-galois-16" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("list-variants", "--kv"), ("analyze", "timing", "--variant", "grain128-galois-4", "--kv")]
+)
+def test_kv_output_is_flat_key_value(argv, capsys):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out
+    for line in out.splitlines():
+        key, sep, value = line.partition("=")
+        assert sep and key and " " not in key and "=" not in value, line
+
+
+def test_list_variants_kv_has_one_line_per_field(capsys):
+    _, out, _ = run_cli(capsys, "list-variants", "--kv")
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert len(lines) == 9 * 5
+    assert lines["grain80-galois-1.terminal_b"] == "63"
+    assert lines["grain128-galois-16.k"] == "16"
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(grainkit.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "grainkit", "verify", "equivalence", "--variant",
+         "grain80-galois-1", "--seed", "1", "--trials", "2", "--cycles", "5"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout) == (0, "equal: 2 trials x 5 cycles against grain80-fib\n")
+    usage = subprocess.run(
+        [sys.executable, "-m", "grainkit", "no-such-command"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert usage.returncode == 2 and "invalid choice" in usage.stderr
+
+
 def test_verify_collapse_official(capsys):
     rc, out, _ = run_cli(capsys, "verify", "collapse", "--variant", "grain128-galois-8")
     assert rc == 0
@@ -205,6 +240,35 @@ def test_verify_equivalence_exhaustive(tmp_path, capsys):
         "verify", "equivalence", "--a", str(a), "--b", str(c), "--exhaustive",
     )
     assert rc == 1 and "unequal" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "5"), ("--a", "a.fsr"), ("--b", "b.fsr")])
+def test_verify_equivalence_refuses_exhaustive_flags_without_exhaustive(flag, value, capsys):
+    rc, out, err = run_cli(
+        capsys, "verify", "equivalence", "--variant", "grain80-galois-1", "--seed", "1",
+        "--trials", "3", "--cycles", "3", flag, value,
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} does not apply without --exhaustive\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--variant", "grain80-galois-1"), ("--trials", "20"), ("--cycles", "500"), ("--seed", "1")],
+)
+def test_verify_equivalence_refuses_mapped_flags_with_exhaustive(flag, value, tmp_path, capsys):
+    a = tmp_path / "small_fib.fsr"
+    a.write_text(FIB4_DOC)
+    rc, out, err = run_cli(
+        capsys, "verify", "equivalence", "--exhaustive", "--a", str(a), "--b", str(a), flag, value,
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} does not apply with --exhaustive\n"
+
+
+def test_verify_equivalence_mapped_defaults(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "equivalence", "--variant", "grain80-galois-1", "--seed", "1")
+    assert (rc, out) == (0, "equal: 20 trials x 500 cycles against grain80-fib\n")
 
 
 def test_verify_equivalence_exhaustive_refuses_costly_inputs(tmp_path, capsys):

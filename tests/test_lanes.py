@@ -21,6 +21,7 @@ from grainkit.engine import (
     RegisterSpec,
     SystemSpec,
     SystemState,
+    _join,
     _lanes_match,
     _run_words,
     _words,
@@ -142,6 +143,62 @@ def test_every_legal_k_matches_the_reference(case, modes):
     traces, final = run(spec, SystemState.from_bits(spec, bits), cycles, modes, watch)
     assert traces == {t: tuple(want[t]) for t in watch}
     assert _words(final) == packed(spec, states[cycles])
+
+
+def _side_by_side(words_of_each, widths, T):
+    """Instance t's word w of each slot at bits ``i * T + t``, i < that slot's width."""
+    return [
+        _join([sum((words[r] >> i & 1) << t for t, words in enumerate(words_of_each)) for i in range(n)], T)
+        for r, n in enumerate(widths)
+    ]
+
+
+def _assert_side_by_side(comp, modes, k, record, starts, steps):
+    """The kernel at lane width len(starts) equals one width-1 run per start.
+
+    Every register word and recorded lane word of the wide run must be
+    the runs' words joined side by side, bit for bit.
+    """
+    T, lengths = len(starts), [n for _, n in comp.signature]
+    sinks = [[] for _ in record]
+    got = comp.kernel(modes, k, record, T)(_side_by_side(starts, lengths, T), steps, sinks)
+    runs = [[[] for _ in record] for _ in starts]
+    finals = [comp.kernel(modes, k, record)(start, steps, own) for start, own in zip(starts, runs)]
+    assert got == _side_by_side(finals, lengths, T), k
+    for step in range(steps):
+        lanes = [[own[i][step] for i in range(len(record))] for own in runs]
+        assert [sink[step] for sink in sinks] == _side_by_side(lanes, [k] * len(record), T), (k, step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.sampled_from(MODE_SETS), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_lane_width_steps_instances_side_by_side(case, modes, T, rnd):
+    spec, _ = case
+    comp = spec._compiled
+    watch = spec.output_names() + tuple((r.id, i) for r in spec.registers for i in range(r.length))
+    record = comp.plan(modes, watch)[0]
+    starts = [[rnd.getrandbits(n) for _, n in comp.signature] for _ in range(T)]
+    for k in range(1, comp.degree(modes) + 1):
+        _assert_side_by_side(comp, modes, k, record, starts, 2)
+
+
+def test_lane_width_on_a_tap_read_across_the_top(rng):
+    # the register of test_a_tap_read_across_the_top_meets_a_low_window_twice,
+    # whose tap 7 cancels window 0 with a right shift
+    reg = RegisterSpec("r", 16, {0: Anf.parse("r[1] + r[3]*r[5]")})
+    spec = SystemSpec([reg], [OutputSpec("O", Anf.parse("r[7] + r[2]*r[9]"))])
+    comp, modes = spec._compiled, frozenset()
+    record = comp.plan(modes, ("O",) + tuple(("r", i) for i in range(16)))[0]
+    starts = [[rng.getrandbits(16)] for _ in range(7)]
+    for k in range(1, 13):
+        _assert_side_by_side(comp, modes, k, record, starts, 1)
+
+
+def test_lane_kernel_compiles_at_the_widest_slice(rng):
+    # the all-ones word of 17 lanes of 1024 bits has over 4300 decimal digits
+    comp = variant("grain80-galois-1").system._compiled
+    starts = [[rng.getrandbits(80) for _ in range(2)] for _ in range(1024)]
+    _assert_side_by_side(comp, frozenset(), 17, (), starts, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -154,27 +154,117 @@ def test_lowest_divergent_trial_wins_over_an_earlier_cycle():
     assert found >= 5
 
 
-def test_one_cycle_check_compiles_no_kernel():
-    v = variant("grain80-galois-1")
-    fib, gal = (
-        SystemSpec(s.registers, s.outputs, s.injections, s.params)
-        for s in (v.fib_variant().system, v.system)
+def _fresh(fib_system, gal_system):
+    """Copies of a pair whose kernel caches start empty."""
+    return tuple(
+        SystemSpec(s.registers, s.outputs, s.injections, s.params) for s in (fib_system, gal_system)
     )
-    assert check_equivalence_mapped(fib, gal, 1, 1, 0).equal
-    assert fib._compiled._kernels == {} == gal._compiled._kernels
+
+
+def _kernel_keys(*systems):
+    return {key for s in systems for key in s._compiled._kernels}
+
+
+NO_MODES = frozenset()
+
+
+def test_one_cycle_check_compiles_no_kernel():
+    # neither layout fetches a kernel before its first step: 1 and 100
+    # trials step on lanes, 1100 bitsliced and then on lanes
+    v = variant("grain80-galois-1")
+    for trials in (1, 100, 1100):
+        fib, gal = _fresh(v.fib_variant().system, v.system)
+        assert check_equivalence_mapped(fib, gal, trials, 1, 0).equal
+        assert fib._compiled._kernels == {} == gal._compiled._kernels, trials
 
 
 def test_divergent_trial_is_replayed_on_the_sliced_kernel():
+    # 100 trials step on 32-cycle lane kernels 100 bits wide; the lowest
+    # divergent trial is replayed alone, one cycle at a time, bitsliced
     v = variant("grain128-galois-1", "as-printed")
-    fib, gal = (
-        SystemSpec(s.registers, s.outputs, s.injections, s.params)
-        for s in (v.fib_variant().system, v.system)
-    )
+    fib, gal = _fresh(v.fib_variant().system, v.system)
     verdict = check_equivalence_mapped(fib, gal, 100, 1000, 1)
-    kernels = [key for s in (fib, gal) for key in s._compiled._kernels]
-    assert kernels and all(key[0] == "sliced" for key in kernels), kernels
+    for system in (fib, gal):
+        assert set(system._compiled._kernels) == {(NO_MODES, 32, (), 100), ("sliced", NO_MODES, 1)}
     assert not verdict.equal
     assert verdict == reference_check(fib, gal, 100, 1000, 1)
+
+
+@pytest.mark.parametrize("flavour", ["official", "as-printed"])
+@pytest.mark.parametrize("name", GALOIS_VARIANTS)
+def test_bundled_pairs_step_small_slices_on_lanes_and_wide_ones_sliced(name, flavour):
+    v = variant(name, flavour)
+    k = transform._mapped_degree(
+        v.fib_variant().system, v.system, {r.id: terminal_bit(r) for r in v.system.registers}
+    )
+    assert k in (17, 32)
+    for trials, want in ((20, (NO_MODES, k, (), 20)), (100, (NO_MODES, k, (), 100)),
+                         (1024, ("sliced", NO_MODES, k))):
+        fib, gal = _fresh(v.fib_variant().system, v.system)
+        check_equivalence_mapped(fib, gal, trials, k + 1, 1)
+        assert _kernel_keys(fib, gal) == {want}, trials
+
+
+def test_unit_cycle_blocks_step_sliced(monkeypatch):
+    v = variant("grain80-galois-1")
+    monkeypatch.setattr(transform, "_mapped_degree", lambda *args: 1)
+    for trials in (1, 20, 100):
+        fib, gal = _fresh(v.fib_variant().system, v.system)
+        assert check_equivalence_mapped(fib, gal, trials, 3, 1).equal
+        assert _kernel_keys(fib, gal) == {("sliced", NO_MODES, 1)}, trials
+
+
+@pytest.mark.parametrize("layout, constant", [("sliced", 0), ("lanes", 10**9)])
+def test_each_layout_matches_the_reference_on_mutated_registers(layout, constant, monkeypatch):
+    # the constant forces every slice with blocks of 2 cycles or more onto one layout
+    monkeypatch.setattr(transform, "_LANE_TRIALS", constant)
+    verdicts, keys = [], set()
+    for fib, gal in mutated_pairs():
+        for cycles in range(12):
+            for seed in (1, 2):
+                verdict = check_equivalence_mapped(fib, gal, 3, cycles, seed)
+                assert verdict == reference_check(fib, gal, 3, cycles, seed), (gal, cycles, seed)
+                verdicts.append(verdict)
+        keys |= _kernel_keys(fib, gal)
+    assert sum(not v.equal for v in verdicts) > 100
+    # the reference steps through engine.step, whose lane kernels are 1 bit wide
+    wide = {key[3] for key in keys if len(key) == 4 and key[3] != 1}
+    assert wide == ({3} if layout == "lanes" else set()), keys
+
+
+def _s_mutant():
+    """grain80-galois-1 with a degree-14 product added to s[79]: few trials diverge."""
+    v = variant("grain80-galois-1")
+    s = v.system.register("s")
+    feedback = dict(s.feedback)
+    product = "*".join(f"s[{i}]" for i in range(1, 42, 3))
+    feedback[79] = parse_expr(f"{s.expr(79)} + {product}")
+    return v.fib_variant().system, v.system.replace_register(RegisterSpec("s", 80, feedback))
+
+
+def test_a_wide_sliced_slice_then_a_lane_slice(monkeypatch):
+    # 1100 trials: trials 0..1023 step bitsliced, then 1024..1099 on 76-bit lanes
+    v = variant("grain80-galois-1")
+    fib, gal = _fresh(v.fib_variant().system, v.system)
+    assert check_equivalence_mapped(fib, gal, 1100, 40, 1).equal
+    assert _kernel_keys(fib, gal) == {
+        ("sliced", NO_MODES, 17), ("sliced", NO_MODES, 5), (NO_MODES, 17, (), 76), (NO_MODES, 5, (), 76)
+    }
+    fib, bad = _s_mutant()
+    found = 0
+    for seed in range(40):
+        verdict = check_equivalence_mapped(fib, bad, 1100, 40, seed)
+        if verdict.equal or verdict.counterexample.trial < 1024:
+            continue
+        found += 1
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_LANE_TRIALS", 0)
+            assert check_equivalence_mapped(fib, bad, 1100, 40, seed) == verdict
+        point = verdict.counterexample
+        *_, start = reference_trials(fib, bad, point.trial + 1, seed)
+        hit = reference_divergence(fib, bad, *start, 40)
+        assert DivergencePoint(point.trial, *hit) == point
+    assert found >= 2
 
 
 def _slice(comp, states):
