@@ -45,7 +45,13 @@ windows read, are computed inside the steps.
 Two layouts run many instances of one system at once.  The lane kernel
 takes a lane width T: each lane is T bits, one per instance, every shift
 is scaled by T and every mask covers k T bits, so one operator steps k
-cycles of T instances.  At T = 1 its source is the single-instance one.
+cycles of T instances.  A register word is then (n + k) T bits wide, so
+wider than T = 1 the kernel touches less of it: a plain read of a tap
+v < n / 2 (no fold, no correction term) is cut to its k lanes before it
+shifts, ``(w & M_v) >> v T``, which touches (v + k) T bits rather than
+(n + k - v) T, and windows computed back to back enter the word in one
+XOR, before the next read of that register and before the rotation.  At
+T = 1 its source is the single-instance one.
 The sliced layout (``_CompiledSystem.sliced``) is bitsliced: one word per
 register bit, one instance per bit of each word.  It is generated from
 the same shift-plus-tail form and expression emitter, k unrolled cycles
@@ -433,7 +439,9 @@ class _CompiledSystem:
         instance t sits at bit ``i * T + t`` of its register's word, and
         lane m of a recorded word at bits ``m * T`` up.  Every shift is a
         multiple of T and AND and XOR work bit by bit, so instances never
-        mix, and a k is legal at every T when it is legal at 1.
+        mix, and a k is legal at every T when it is legal at 1.  Wider
+        than T = 1, low taps are cut before they shift and windows enter
+        the word in groups (see the module docstring).
         """
         key = (modes, k, record, T)
         fn = self._kernels.get(key)
@@ -464,37 +472,64 @@ class _CompiledSystem:
             if t.degree == 1
         ]
         masked = set(targets) | set(self._taps(Anf(linear)))
+        narrow = set(masked)  # taps whose lane word is k lanes wide
+        cuts = set()  # taps v read cut before their shift, by the mask bound as m{v}
 
         def term(vs) -> str:
             nodes = [("t", self.index[v.reg], v.idx) for v in vs]
             names = [_var(t) for t in nodes]
-            if len(nodes) > 1 and masked.isdisjoint(nodes):
+            if len(nodes) > 1 and narrow.isdisjoint(nodes):
                 names.append(lanes)
             return " & ".join(names)
 
         def out(i: int) -> str:
             return _var(("o", i, 0))
 
-        body, added = [], set()
+        body, added, pending = [], set(), {}
+
+        def insert(r: int) -> None:
+            # register r's pending windows enter its word in one XOR, each
+            # shifted by j + 1 lanes
+            group = sorted(pending.pop(r, ()))
+            if group:
+                a = group[0]
+                parts = [_var(("g", r, a))]
+                parts += [f"{_var(('g', r, b))} << {(b - a) * T}" for b in group[1:]]
+                grouped = parts[0] if len(group) == 1 else f"({_xor(parts)})"
+                body.append(f"w{r} ^= {grouped} << {(a + 1) * T}")
+                added.update((r, j) for j in group)
+
         for node in order:
             kind, r, j = node
             if kind == "t":
-                read = self._tap(r, j, k, added, T)
-                parts = [f"({read}) & {lanes}" if node in masked else read]
+                insert(r)
+                parts = self._tap(r, j, k, added, T)
+                if T > 1 and len(parts) == 1 and 2 * j < self.signature[r][1]:
+                    # a plain read of a low tap: cutting first touches
+                    # (j + k) lanes, not the n + k - j lanes of the shift
+                    cuts.add(j)
+                    parts = [f"(w{r} & m{j}) >> {j * T}" if j else f"w{r} & m"]
+                    narrow.add(node)
+                elif node in masked:
+                    parts = [f"({_xor(parts)}) & {lanes}"]
             else:
                 parts = self._parts(node, wins, term, out, lanes)
             body.append(f"{_var(node)} = {_xor(parts)}")
             if kind == "g":
-                # the register word takes each window once, as it is computed
-                body.append(f"w{r} ^= {_var(node)} << {(j + 1) * T}")
-                added.add((r, j))
+                # wider than T = 1, windows computed back to back enter the
+                # word together, before the next read of it
+                pending.setdefault(r, []).append(j)
+                if T == 1:
+                    insert(r)
         for r, (_, n) in enumerate(self.signature):
+            insert(r)
             body.append(f"w{r} = w{r} >> {k * T} ^ (w{r} & {lanes}) << {(n - k) * T}")
         body += [f"a{i}({_var(t)})" for i, t in enumerate(targets)]
         words = "".join(f"w{r}, " for r in range(len(self.signature)))
         src = "\n".join(
             ["def lanes(words, steps, sinks):", f"    {words}= words"]
             + [f"    m = {(1 << k * T) - 1:#x}"] * (T > 1)
+            + [f"    m{v} = {((1 << k * T) - 1) << v * T:#x}" for v in sorted(cuts) if v]
             + [f"    a{i} = sinks[{i}].append" for i in range(len(targets))]
             + ["    for _ in range(steps):"]
             + [f"        {line}" for line in body]
@@ -502,8 +537,8 @@ class _CompiledSystem:
         )
         return _exec(src, "lanes", f"<lanes k={k}>" if T == 1 else f"<lanes k={k} T={T}>")
 
-    def _tap(self, r: int, v: int, k: int, added: set, T: int) -> str:
-        """Lane word of tap v of register r, read from the register word.
+    def _tap(self, r: int, v: int, k: int, added: set, T: int) -> list[str]:
+        """XOR operands of the lane word of tap v of register r, read from the register word.
 
         The word holds the windows in ``added``, window j shifted by j + 1.
         Read at v (and folded back past the top, when the read crosses
@@ -526,7 +561,7 @@ class _CompiledSystem:
             for s in sorted(got ^ {(j - v) % n + 1}):
                 if -k < s < k:
                     parts.append(f"{g} >> {-s * T}" if s else g)
-        return _xor(parts)
+        return parts
 
     def plan(self, modes: frozenset, watch: tuple):
         """``(record, watched)``: how ``run`` observes ``watch`` under ``modes``.

@@ -23,7 +23,8 @@ top.  Each is read in closed form from one plan of the tails: the
 collapse lifts each tail once, and ``map_system_state``, the one
 state-mapping routine, maps a packed word in the engine's lane form,
 x = w ^ XOR_j G_j << (j + 1).  It and the mapped check share one
-preparation of the pair, plans included, over the whole layout.
+preparation of the pair, plans included, and one word mapping, which
+the check runs on lanes one bit per trial.
 
 The exact checker reads every state's output prefix of up to 64 bits
 from one bitsliced walk over all states, and uses those raw prefixes as
@@ -42,7 +43,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import takewhile, zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .anf import (
     Anf,
@@ -54,7 +55,7 @@ from .anf import (
     term_sort_key,
     xor_merge,
 )
-from .engine import RegisterSpec, SystemSpec, SystemState, _join
+from .engine import RegisterSpec, SystemSpec, SystemState
 from .timing import product_depth
 
 __all__ = [
@@ -500,10 +501,8 @@ def unshift_sources(spec: RegisterSpec, term: Term) -> tuple[int, ...]:
     )
 
 
-def _state_mapper(
-    fib: SystemSpec, galois: SystemSpec
-) -> tuple[Callable[..., list[int]], dict[str, list]]:
-    """The one preparation of a (Fibonacci, Galois) pair: slice mapping and tail plans.
+def _state_mapper(fib: SystemSpec, galois: SystemSpec) -> dict[str, list]:
+    """The one preparation of a (Fibonacci, Galois) pair: its tail plans, by register id.
 
     Both systems must declare the same registers in the same order, and
     the same outputs and injections; every injection must land on its
@@ -515,12 +514,10 @@ def _state_mapper(
 
     The plans, ``_tail_plan`` by register id, are the state mapping in
     closed form: bit i > terminal absorbs each tail g_j, j < i, read
-    i - 1 - j cycles on.  ``map_system_state`` reads them on packed
-    words (``_map_word``) and builds the collapses from them
-    (``_collapse``).  The returned formula reads them on planes: it maps
-    any number of states of the whole layout, one word per bit in system
-    register order and one state per bit of the all-ones mask ``ones``,
-    one lag of each tail at a time; a constant sets every state's bit.
+    i - 1 - j cycles on.  ``_map_word`` reads them on packed words, for
+    ``map_system_state`` one state per word and for the mapped check a
+    whole slice of trials per word, and ``_collapse`` builds the
+    collapses from them.
     """
     signature = tuple((r.id, r.length) for r in fib.registers)
     if tuple((r.id, r.length) for r in galois.registers) != signature:
@@ -556,43 +553,29 @@ def _state_mapper(
             v = report.violations[0]
             raise ValueError(f"target register is not uniform: bit {v.bit} {v.reason}")
         plans[reg.id] = _tail_plan(reg)
-
-    def mapped(state: Sequence[int], ones: int = 1) -> list[int]:
-        planes = [int(b) & ones for b in state]
-        out, offset = list(planes), 0
-        for rid, n in signature:
-            for j, const, products in plans[rid]:
-                for c in range(n - 1 - j):  # bit j + 1 + c reads g_j c cycles on
-                    acc = ones if const else 0
-                    for product in products:
-                        value = ones
-                        for idx in product:
-                            value &= planes[offset + idx + c]
-                        acc ^= value
-                    out[offset + j + 1 + c] ^= acc
-            offset += n
-        return out
-
-    return mapped, plans
+    return plans
 
 
-def _map_word(word: int, n: int, plan: list) -> int:
-    """One register's packed state, bit i in bit i, mapped by its ``_tail_plan``.
+def _map_word(word: int, n: int, plan: list, T: int = 1) -> int:
+    """One register's packed states, T-bit lanes, mapped by its ``_tail_plan``.
 
-    The engine's lane form, x = w ^ XOR_j G_j << (j + 1): a product's
-    lanes are the AND of ``word >> idx``, lane m reading g_j m cycles on,
-    and its n - 1 - j lanes land on bits j + 1 .. n - 1.
+    Bit i of state t is bit i * T + t of ``word``: one state in its bits
+    at T = 1, the mapped check's slice of T trials wider.  The engine's
+    lane form, x = w ^ XOR_j G_j << (j + 1): a product's lanes are the
+    AND of ``word >> idx`` lanes, lane m reading g_j m cycles on, and its
+    n - 1 - j lanes land on bits j + 1 .. n - 1.  Every shift is a
+    multiple of T and AND and XOR work bit by bit, so states never mix.
     """
     mapped = word
     for j, const, products in plan:
-        lanes = (1 << (n - 1 - j)) - 1
+        lanes = (1 << (n - 1 - j) * T) - 1
         acc = lanes if const else 0
         for product in products:
             value = lanes
             for idx in product:
-                value &= word >> idx
+                value &= word >> idx * T
             acc ^= value
-        mapped ^= acc << (j + 1)
+        mapped ^= acc << (j + 1) * T
     return mapped
 
 
@@ -610,7 +593,7 @@ def map_system_state(
     """
     if state.signature() != tuple((r.id, r.length) for r in fib_system.registers):
         raise ValueError("state does not conform to the source system")
-    plans = _state_mapper(fib_system, galois_system)[1]
+    plans = _state_mapper(fib_system, galois_system)
     for reg in fib_system.registers:
         if _collapse(galois_system.register(reg.id), plans[reg.id]) != reg:
             raise ValueError(
@@ -934,23 +917,26 @@ def check_equivalence_mapped(
     ``random.Random(seed)``, with bit p of the layout (registers in system
     order, then bits) in bit p, so any reported trial can be rebuilt from
     the seed alone.  Trials run in slices of up to ``_SLICE_TRIALS``, in
-    order: the draw gives one word per layout bit, trial t in bit t of
-    every word, and one call of the system's mapping formula maps a whole
-    slice.
+    order.  A slice of T trials is drawn straight into one lane word per
+    register, bit i of trial t at bit i * T + t, and ``_map_word`` maps
+    each Galois register's word at stride T, the routine that
+    ``map_system_state`` runs at T = 1.
 
     One loop steps both systems k cycles per call and compares them at
     block ends (see ``_mapped_degree``), the last partial block in one
     shorter call, until trial 0 of the slice diverges or the cycles run
-    out; no later slice runs once one has diverged.  A slice of T trials
+    out; no later slice runs once one has diverged.  Each system's kernel
+    of each block size is fetched once per slice.  A slice of T trials
     steps in one of two layouts, lanes when T <= ``_LANE_TRIALS`` * (k - 1)
-    and bitsliced otherwise.  On lanes, each register's words join at
-    stride T into one word, bit i of trial t at bit i * T + t, which the
-    lane kernel steps with T-bit lanes; bits 0..terminal of every trial
-    are compared at once and a difference folds onto its trials.
-    Bitsliced, the words step as drawn on the sliced kernel.  The lowest
-    divergent trial is then replayed through the same loop from its
-    slice-start words, alone, bitsliced and one cycle at a time, to find
-    its first divergent cycle, register and bit.
+    and bitsliced otherwise.  On lanes the lane kernel steps the words as
+    drawn, with T-bit lanes; bits 0..terminal of every trial are compared
+    at once and a difference folds onto its trials.  Bitsliced, plane i of
+    a register is bits [i * T, (i + 1) * T) of its lane word, and the
+    planes step on the sliced kernel.  The lowest divergent trial is then
+    replayed alone from its slice-start words on the 1-bit lane kernel, in
+    k-cycle blocks up to the block where it diverges and then one cycle at
+    a time from that block's start, to find its first divergent cycle,
+    register and bit.
 
     The pair is prepared by ``_state_mapper``, so this check and
     ``map_system_state`` refuse the same pairs with the same messages.
@@ -971,7 +957,7 @@ def check_equivalence_mapped(
         raise ValueError("cycles must be non-negative")
     # Prepared once per check: a pair the preparation refuses raises
     # before anything is drawn, whatever the trial count.
-    mapper = _state_mapper(fib_system, galois_system)[0]
+    plans = _state_mapper(fib_system, galois_system)
     terminals = {reg.id: terminal_bit(reg) for reg in galois_system.registers}
     k = _mapped_degree(fib_system, galois_system, terminals)
     if not cycles:
@@ -979,19 +965,21 @@ def check_equivalence_mapped(
 
     # Both systems declare the same registers in the same order, so they
     # share one layout: each register's bits in turn, in system order.
-    spans, width = [], 0  # (first bit, length, compared bits) of each register
+    spans, width = [], 0  # (id, first bit, length, compared bits) of each register
     for reg in galois_system.registers:
-        spans.append((width, reg.length, terminals[reg.id] + 1))
+        spans.append((reg.id, width, reg.length, terminals[reg.id] + 1))
         width += reg.length
-    compared = [(a, a + t) for a, _, t in spans]
     fib_comp, gal_comp = fib_system._compiled, galois_system._compiled
     no_modes = frozenset()
 
-    def sliced(ones):
-        """(step, differ) of the bitsliced layout: one word per layout bit."""
+    def sliced(count):
+        """(fetch, differ) of the bitsliced layout: one word per layout bit."""
+        ones = (1 << count) - 1
+        compared = [(a, a + t) for _, a, _, t in spans]
 
-        def step(comp, words, s):
-            return comp.sliced(no_modes, s)(words, ones)
+        def fetch(comp, s):
+            kernel = comp.sliced(no_modes, s)
+            return lambda words: kernel(words, ones)
 
         def differ(fib_words, gal_words) -> int:
             # Equal slices, the usual case, are settled by one list compare.
@@ -1002,15 +990,16 @@ def check_equivalence_mapped(
                         bad |= fib_words[p] ^ gal_words[p]
             return bad
 
-        return step, differ
+        return fetch, differ
 
     def lanes(count):
-        """(step, differ) of the lane layout: one word per register, count bits per lane."""
+        """(fetch, differ) of the lane layout: one word per register, count bits per lane."""
         ones = (1 << count) - 1
-        lows = [(1 << t * count) - 1 for _, _, t in spans]
+        lows = [(1 << t * count) - 1 for *_, t in spans]
 
-        def step(comp, words, s):
-            return comp.kernel(no_modes, s, (), count)(words, 1, ())
+        def fetch(comp, s):
+            kernel = comp.kernel(no_modes, s, (), count)
+            return lambda words: kernel(words, 1, ())
 
         def differ(fib_words, gal_words) -> int:
             bad = 0
@@ -1021,20 +1010,30 @@ def check_equivalence_mapped(
                     diff >>= count
             return bad
 
-        return step, differ
+        return fetch, differ
 
-    def run(fib_words, gal_words, layout, k):
+    def run(fib_words, gal_words, layout, k, cycle=0):
+        """Step both systems from ``cycle`` in blocks of k until trial 0 diverges.
+
+        Returns the trials diverged by the last cycle reached, and the
+        cycle and words of both systems at the start and at the end of
+        the last block stepped (both the first cycle's, if none was).
+        """
         # A trial that agrees at cycle c agrees at c+1..c+s, s <= k, iff it
         # agrees at c+s, so ``bad`` holds exactly the trials diverged by ``cycle``.
-        step, differ = layout
-        bad, cycle = differ(fib_words, gal_words), 0
+        fetch, differ = layout
+        kernels = {}  # both systems' kernels of each block size, fetched at its first step
+        bad, start = differ(fib_words, gal_words), (cycle, fib_words, gal_words)
         while not bad & 1 and cycle < cycles - 1:
+            start = cycle, fib_words, gal_words
             s = min(k, cycles - 1 - cycle)
-            fib_words = step(fib_comp, fib_words, s)
-            gal_words = step(gal_comp, gal_words, s)
+            if s not in kernels:
+                kernels[s] = fetch(fib_comp, s), fetch(gal_comp, s)
+            fib_step, gal_step = kernels[s]
+            fib_words, gal_words = fib_step(fib_words), gal_step(gal_words)
             bad |= differ(fib_words, gal_words)
             cycle += s
-        return bad, cycle, fib_words, gal_words
+        return bad, start, (cycle, fib_words, gal_words)
 
     rng = random.Random(seed)
     # Trials run in slices of at most _SLICE_TRIALS, in order, so memory
@@ -1042,33 +1041,51 @@ def check_equivalence_mapped(
     # divergent trial.
     for first in range(0, trials, _SLICE_TRIALS):
         count = min(_SLICE_TRIALS, trials - first)
-        ones = (1 << count) - 1
         # Reversed, the trials' binary digits put bit p of the last trial
-        # at index p, so every width-th digit from p is plane p, trial t in
-        # bit t.
+        # at index p, so every width-th digit from p is bit p of every
+        # trial, the last first.  A register's strings, its highest bit
+        # first, are its lane word: bit i of trial t at i * count + t.
         drawn = "".join([format(rng.getrandbits(width), f"0{width}b") for _ in range(count)])[::-1]
-        fib_start = [int(drawn[p::width], 2) for p in range(width)]
-        gal_start = mapper(fib_start, ones)
-        starts, layout = (fib_start, gal_start), sliced(ones)
+        fib_start = [
+            int("".join([drawn[p::width] for p in range(a + n - 1, a - 1, -1)]), 2)
+            for _, a, n, _ in spans
+        ]
+        gal_start = [
+            _map_word(word, n, plans[rid], count) for word, (rid, _, n, _) in zip(fib_start, spans)
+        ]
         if count <= _LANE_TRIALS * (k - 1):
-            # each register's planes join at stride count: bit i of trial t at i * count + t
-            starts = ([_join(planes[a : a + n], count) for a, n, _ in spans] for planes in starts)
-            layout = lanes(count)
-        bad = run(*starts, layout, k)[0]
+            bad = run(fib_start, gal_start, lanes(count), k)[0]
+        else:
+            # plane i of a register is bits [i * count, (i + 1) * count) of its lane word
+            ones = (1 << count) - 1
+            fib_planes, gal_planes = (
+                [word >> i * count & ones for word, (_, _, n, _) in zip(words, spans) for i in range(n)]
+                for words in (fib_start, gal_start)
+            )
+            bad = run(fib_planes, gal_planes, sliced(count), k)[0]
         if bad:
             break
     else:
         return MappedVerdict(True, trials, cycles)
 
+    # The lowest divergent trial alone, on the 1-bit lane kernel: k-cycle
+    # blocks up to the one where it diverges, then unit steps from that
+    # block's start.  Bit i of trial t is digit t from the low end of
+    # lane i, so every count-th digit from count - 1 - t is its word.
     lowest = (bad & -bad).bit_length() - 1
-    alone = ([w >> lowest & 1 for w in words] for words in (fib_start, gal_start))
-    _, cycle, fib_words, gal_words = run(*alone, sliced(1), 1)
-    # the first differing plane in layout order: lowest register, then bit
-    for rid, (a, b) in zip(terminals, compared):
-        for p in range(a, b):
-            if fib_words[p] != gal_words[p]:
-                point = DivergencePoint(first + lowest, rid, cycle, p - a)
-                return MappedVerdict(False, trials, cycles, point)
+    alone = (
+        [int(format(word, f"0{n * count}b")[count - 1 - lowest :: count], 2)
+         for word, (_, _, n, _) in zip(words, spans)]
+        for words in (fib_start, gal_start)
+    )
+    _, (cycle, *start), _ = run(*alone, lanes(1), k)
+    _, _, (cycle, fib_words, gal_words) = run(*start, lanes(1), 1, cycle)
+    # the first differing bit in layout order: lowest register, then bit
+    for (rid, _, _, t), f, g in zip(spans, fib_words, gal_words):
+        diff = (f ^ g) & ((1 << t) - 1)
+        if diff:
+            point = DivergencePoint(first + lowest, rid, cycle, (diff & -diff).bit_length() - 1)
+            return MappedVerdict(False, trials, cycles, point)
     raise AssertionError(f"trial {first + lowest} diverges in its slice but not alone")
 
 

@@ -156,19 +156,19 @@ def test_foreign_refusal_names_the_lowest_bit_and_variable():
 
 def _check_pair(fib: SystemSpec, gal: SystemSpec, rng: random.Random, states: int) -> None:
     """``map_system_state`` and the slice mapping against the walk on random states."""
-    mapper = transform._state_mapper(fib, gal)[0]
+    plans = transform._state_mapper(fib, gal)
     drawn = [{r.id: list(rand_bits(rng, r.length)) for r in fib.registers} for _ in range(states)]
     want = [
         {r.id: _walk_bits(r, s[r.id]) for r in gal.registers} for s in drawn
     ]
     for s, w in zip(drawn, want):
         assert w == {r.id: _evaluated_bits(r, s[r.id]) for r in gal.registers}
-    # the slice mapping: one plane per layout bit, state m in bit m
-    layout = [[s[r.id][i] for r in fib.registers for i in range(r.length)] for s in drawn]
-    planes = [sum(bits[p] << m for m, bits in enumerate(layout)) for p in range(len(layout[0]))]
-    mapped = mapper(planes, (1 << states) - 1)
-    for m, w in enumerate(want):
-        assert [plane >> m & 1 for plane in mapped] == [b for r in gal.registers for b in w[r.id]]
+    # the slice mapping: one lane word per register, bit i of state m at bit i * states + m
+    for r in gal.registers:
+        word = sum(s[r.id][i] << i * states + m for m, s in enumerate(drawn) for i in range(r.length))
+        mapped = transform._map_word(word, r.length, plans[r.id], states)
+        for m, w in enumerate(want):
+            assert [mapped >> i * states + m & 1 for i in range(r.length)] == w[r.id]
     # the packed words, through every check map_system_state makes
     collapses = all(collapse_to_fibonacci(r) == fib.register(r.id) for r in gal.registers)
     for s, w in zip(drawn, want):

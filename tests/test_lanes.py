@@ -194,6 +194,37 @@ def test_lane_width_on_a_tap_read_across_the_top(rng):
         _assert_side_by_side(comp, modes, k, record, starts, 1)
 
 
+def test_lane_width_on_a_tap_read_right_after_grouped_windows(rng):
+    # Wider than T = 1, windows 12 and 13 enter the word in one XOR, which
+    # must land before tap 12 (from k = 2) and tap 11 (from k = 3) read it.
+    reg = RegisterSpec("r", 16, {
+        12: Anf.parse("r[13] + r[0]*r[2]"),
+        13: Anf.parse("r[14] + r[1] + r[3]*r[5]"),
+        15: Anf.parse("r[0] + r[11]*r[12]"),
+    })
+    comp, modes = SystemSpec([reg])._compiled, frozenset()
+    assert comp.degree(modes) == 4
+    starts = [[rng.getrandbits(16)] for _ in range(7)]
+    for k in range(1, 5):
+        _assert_side_by_side(comp, modes, k, (), starts, 3)
+
+
+def test_lane_width_cuts_plain_taps_below_half_the_register(rng):
+    # taps 0, 3, 4 and 9 are cut to k lanes before they shift, each by its
+    # own bound mask (tap 0's is m); taps 10, 12 and 15 shift first
+    reg = RegisterSpec("r", 20, {19: Anf.parse("r[0] + r[4] + r[12] + r[3]*r[15] + r[9]*r[10]")})
+    spec = SystemSpec([reg], [OutputSpec("O", Anf.parse("r[2] + r[17]"))])
+    comp, modes = spec._compiled, frozenset()
+    record = comp.plan(modes, ("O",) + tuple(("r", i) for i in range(20)))[0]
+    starts = [[rng.getrandbits(20)] for _ in range(7)]
+    assert comp.degree(modes) == 5
+    for k in range(1, 6):
+        _assert_side_by_side(comp, modes, k, record, starts, 3)
+        masks = {name for name in comp.kernel(modes, k, record, 7).__code__.co_varnames
+                 if name[0] == "m" and name[1:].isdigit()}
+        assert masks == {"m3", "m4", "m9"}, k
+
+
 def test_lane_kernel_compiles_at_the_widest_slice(rng):
     # the all-ones word of 17 lanes of 1024 bits has over 4300 decimal digits
     comp = variant("grain80-galois-1").system._compiled

@@ -7,6 +7,7 @@ check did before its trials were sliced.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -178,16 +179,55 @@ def test_one_cycle_check_compiles_no_kernel():
         assert fib._compiled._kernels == {} == gal._compiled._kernels, trials
 
 
-def test_divergent_trial_is_replayed_on_the_sliced_kernel():
+def test_divergent_trial_is_replayed_in_blocks_on_the_lane_kernel():
     # 100 trials step on 32-cycle lane kernels 100 bits wide; the lowest
-    # divergent trial is replayed alone, one cycle at a time, bitsliced
+    # divergent trial is replayed alone on 1-bit lanes, in 32-cycle blocks
+    # up to the one where it diverges (cycle 34), then in unit steps
     v = variant("grain128-galois-1", "as-printed")
     fib, gal = _fresh(v.fib_variant().system, v.system)
     verdict = check_equivalence_mapped(fib, gal, 100, 1000, 1)
     for system in (fib, gal):
-        assert set(system._compiled._kernels) == {(NO_MODES, 32, (), 100), ("sliced", NO_MODES, 1)}
-    assert not verdict.equal
+        assert set(system._compiled._kernels) == {
+            (NO_MODES, 32, (), 100), (NO_MODES, 32, (), 1), (NO_MODES, 1, (), 1)
+        }
+    assert verdict.counterexample.cycle == 34
     assert verdict == reference_check(fib, gal, 100, 1000, 1)
+
+
+@pytest.mark.parametrize("layout, constant", [("sliced", 0), ("lanes", 10**9)])
+def test_block_replay_matches_the_reference_on_and_next_to_block_ends(
+    layout, constant, monkeypatch
+):
+    # The replay steps k-cycle blocks up to the divergent one, then unit
+    # steps from its start: divergences at cycles 1, k - 1, k and k + 1,
+    # each also at the last cycle checked, on pairs with k >= 3.
+    monkeypatch.setattr(transform, "_LANE_TRIALS", constant)
+    pairs, seen = mutated_pairs(), Counter()
+    for fib, gal in pairs:
+        k = transform._mapped_degree(fib, gal, {"r": terminal_bit(gal.registers[0])})
+        if k < 3:
+            continue
+        places = {1: "1", k - 1: "k - 1", k: "k", k + 1: "k + 1"}
+        for seed in range(30):
+            want = reference_check(fib, gal, 3, 40, seed)
+            if want.equal or want.counterexample.cycle not in places:
+                continue
+            seen[places[want.counterexample.cycle]] += 1
+            for cycles in (40, want.counterexample.cycle + 1):
+                verdict = check_equivalence_mapped(fib, gal, 3, cycles, seed)
+                assert verdict == reference_check(fib, gal, 3, cycles, seed), (gal, cycles, seed)
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
+    # No pair diverges at cycle 0, where bits 0..terminal map to
+    # themselves; a mapping that flips bit 0 of every state does.
+    real = transform._map_word
+    monkeypatch.setattr(
+        transform, "_map_word", lambda word, n, plan, T=1: real(word, n, plan, T) ^ (1 << T) - 1
+    )
+    for fib, gal in pairs[:5]:
+        for cycles in (1, 40):
+            verdict = check_equivalence_mapped(fib, gal, 3, cycles, 1)
+            assert verdict.counterexample == DivergencePoint(0, "r", 0, 0)
+            assert verdict == reference_check(fib, gal, 3, cycles, 1)
 
 
 @pytest.mark.parametrize("flavour", ["official", "as-printed"])
@@ -316,13 +356,16 @@ def test_lane_word_mapping_sets_constants_in_every_instance(rng):
 
 
 def _check_lane_mapping(system, rng):
-    mapper = transform._state_mapper(system, system)[0]
-    width = sum(r.length for r in system.registers)
-    states = [[rng.randrange(2) for _ in range(width)] for _ in range(37)]
-    lanes = [sum(s[i] << t for t, s in enumerate(states)) for i in range(width)]
-    got = mapper(lanes, (1 << len(states)) - 1)
-    for t, state in enumerate(states):
-        assert [(w >> t) & 1 for w in got] == mapper(state), t
+    """``_map_word`` at stride T equals T one-state mappings joined at stride T."""
+    plans = transform._state_mapper(system, system)
+    for reg in system.registers:
+        n, plan = reg.length, plans[reg.id]
+        for T in (1, 2, 7, 100):
+            states = [rng.getrandbits(n) for _ in range(T)]
+            word = sum((s >> i & 1) << i * T + t for t, s in enumerate(states) for i in range(n))
+            want = [transform._map_word(s, n, plan) for s in states]
+            joined = sum((s >> i & 1) << i * T + t for t, s in enumerate(want) for i in range(n))
+            assert transform._map_word(word, n, plan, T) == joined, (reg.id, T)
 
 
 def test_trials_run_in_slices_in_order(monkeypatch):

@@ -632,7 +632,7 @@ def test_pair_rule_covers_outputs_and_injections(rng):
 def test_pair_rule_accepts_every_bundled_variant(name, flavour):
     v = variant(name, flavour)
     fib = v.fib_variant().system
-    plans = transform._state_mapper(fib, v.system)[1]
+    plans = transform._state_mapper(fib, v.system)
     collapsed = {
         reg.id: transform._collapse(reg, plans[reg.id]) == fib.register(reg.id)
         for reg in v.system.registers
@@ -679,9 +679,8 @@ def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
     """The prepared formula equals evaluating each lagged tail with ``evaluate``."""
     v = variant(name, flavour)
     system = v.system
-    mapper = transform._state_mapper(v.fib_variant().system, system)[0]
+    plans = transform._state_mapper(v.fib_variant().system, system)
     for _ in range(3):
-        layout, want = [], []
         for galois in system.registers:
             n, t = galois.length, terminal_bit(galois)
             bits = rand_bits(rng, n)
@@ -691,9 +690,9 @@ def test_prepared_state_formula_matches_interpreted_tails(name, flavour, rng):
                     if t <= j < i:
                         g, lag = galois.tail(j), i - 1 - j
                         mapped[i] ^= evaluate(g, {v: bits[v.idx + lag] for v in g.support()})
-            layout += bits
-            want += mapped
-        assert mapper(layout) == want
+            word = sum(b << i for i, b in enumerate(bits))
+            word = transform._map_word(word, n, plans[galois.id])
+            assert [word >> i & 1 for i in range(n)] == mapped
 
 
 # ---------------------------------------------------------- equivalence checks
